@@ -12,10 +12,11 @@ reproduction's *credibility* rests on, before a benchmark ever runs:
   or tracer resolves against the canonical catalogs
   (:mod:`repro.obs.names`, :class:`repro.obs.trace.Stages`), and no
   catalog entry is orphaned;
-* **RL004 drop conservation** — a code path that discards packets must
-  increment a drop/reject counter next to the discard;
 * **RL005 fault-site coverage** — every :class:`repro.faults.plan.Sites`
-  member has an injection call site and a scenario exercising it.
+  member has an injection call site and a scenario exercising it;
+* **RL011 drop conservation** — a code path that discards packets must
+  increment a drop/reject counter next to the discard or one resolved
+  call away.
 
 Entry points: ``python -m repro lint`` (the CLI), or
 :func:`repro.analysis.driver.lint_paths` programmatically.  Findings can

@@ -31,7 +31,7 @@ from repro.analysis.baseline import Baseline
 from repro.analysis.cache import DEFAULT_CACHE_PATH, ResultCache
 from repro.analysis.driver import lint_paths
 from repro.analysis.findings import format_json, format_table
-from repro.analysis.rules import all_rules, default_rules, get_rule
+from repro.analysis.rules import all_rules, get_rule
 from repro.analysis.sarif import format_sarif
 
 DEFAULT_BASELINE = "reprolint-baseline.json"
@@ -98,8 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--rules", metavar="IDS", default=None,
-        help="comma-separated rule ids to run (default: all current "
-             "rules; superseded rules only run when named here)",
+        help="comma-separated rule ids to run (default: all rules)",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -132,12 +131,8 @@ def lint_main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.list_rules:
-        current = {rule.rule_id for rule in default_rules()}
         for rule in all_rules():
-            marker = "" if rule.rule_id in current else (
-                f"  (superseded by {rule.superseded_by})"
-            )
-            print(f"{rule.rule_id}  {rule.title}{marker}")
+            print(f"{rule.rule_id}  {rule.title}")
         return 0
 
     rules = None

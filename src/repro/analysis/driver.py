@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding, Severity, sort_findings
-from repro.analysis.rules import Rule, default_rules
+from repro.analysis.rules import Rule, all_rules
 
 #: ``# reprolint: ignore`` (all rules) or ``# reprolint: ignore[RL001,RL003]``.
 _SUPPRESS_RE = re.compile(
@@ -323,8 +323,8 @@ def lint_paths(
     """Lint every ``*.py`` under ``paths`` with the given rules.
 
     Findings are suppression-filtered, baseline-marked, and sorted by
-    location.  ``rules`` defaults to the non-superseded registered
-    rules; ``baseline`` defaults to empty (everything is new).
+    location.  ``rules`` defaults to every registered rule;
+    ``baseline`` defaults to empty (everything is new).
 
     ``cache`` (a :class:`repro.analysis.cache.ResultCache`) replays the
     previous run's findings when no file content changed.  The
@@ -332,7 +332,7 @@ def lint_paths(
     only the *reported* findings to the given relpaths afterwards.
     """
     started = time.perf_counter_ns()
-    selected = list(rules) if rules is not None else default_rules()
+    selected = list(rules) if rules is not None else all_rules()
     rule_ids = sorted(rule.rule_id for rule in selected)
 
     files = _iter_py_files(paths)

@@ -1,41 +1,78 @@
-"""RL011: drop conservation, now one call deep.
+"""RL011: every discarded packet must be counted, at most one call away.
 
-RL004 demanded the drop-counter increment *in the same block or
-function* as the discard — a deliberate gen-1 crutch, because without a
-call graph "the helper does the counting" was indistinguishable from
-"nobody does the counting".  The crutch had a cost both ways: factoring
-``self._account_drop()`` out of a shedding guard produced a false
-positive, and a helper that *looked* like accounting but wasn't stayed
-invisible.
+The chaos suite asserts conservation (``received == forwarded + dropped
++ slow_path``) dynamically; this rule catches the static shape of the
+bugs that break it — a code path that throws packets away without a
+drop-counter increment:
 
-The gen-2 engine resolves call edges
-(:class:`repro.analysis.semantics.graph.CallGraph`), so this rule keeps
-RL004's detection exactly — same guards, same bare ``.drop()``
-verdicts, same infra scope — but before reporting it follows each
-resolved call one level into its body and accepts accounting found
-there.  One level is the RacerD trade: it legitimizes the common
-"extract the bookkeeping into a helper" refactor without chasing
-arbitrarily deep chains whose relevance the analysis could not defend.
+* an ``if`` guard that sheds load (its condition consults
+  ``should_fire(...)`` or an overflow/full-ring predicate) and bails
+  with ``return False`` / ``continue`` / ``break`` must increment an
+  accounting counter (``*drop*``, ``*shed*``, ``*reject*``,
+  ``*discard*``);
+* a bare ``<verdict>.drop()`` statement in the infrastructure layers
+  (core / io_engine / hw) must sit in a function that also updates such
+  a counter.  Application shaders (``apps/``) are exempt: their verdict
+  dispositions are conserved centrally by ``_finish_chunk``'s
+  per-disposition accounting.
 
-RL004 carries ``superseded_by = "RL011"`` — it stays registered (for
-``--rules RL004`` and SARIF metadata) but leaves the default set, so a
-defect is reported once, by the smarter rule.
+The increment may sit next to the discard or one resolved call away
+(:class:`repro.analysis.semantics.graph.CallGraph`): before reporting,
+the rule follows each resolved call one level into its body and accepts
+accounting found there.  One level is the RacerD trade: it legitimizes
+the common "extract the bookkeeping into a helper" refactor without
+chasing arbitrarily deep chains whose relevance the analysis could not
+defend — and a helper that *looks* like accounting but is not still
+gets reported.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterable, List, Optional
 
 from repro.analysis.astutil import chain_text, function_body_walk
 from repro.analysis.findings import Finding
 from repro.analysis.rules import Rule, register
-from repro.analysis.rules.rl004_drops import (
-    GUARD_RE,
-    INFRA_PARTS,
-    _has_accounting,
-    _is_discard_terminator,
-)
+
+#: Identifier tokens that count as drop accounting.
+ACCOUNT_RE = re.compile(r"drop|shed|reject|discard", re.IGNORECASE)
+#: Condition tokens that mark a load-shedding guard.
+GUARD_RE = re.compile(r"should_fire|overflow", re.IGNORECASE)
+
+#: Layers where a bare ``.drop()`` must be accounted.
+INFRA_PARTS = frozenset({"core", "io_engine", "hw"})
+
+
+def _is_discard_terminator(stmt: ast.stmt) -> bool:
+    if isinstance(stmt, (ast.Continue, ast.Break)):
+        return True
+    if isinstance(stmt, ast.Return):
+        value = stmt.value
+        if value is None:
+            return True
+        if isinstance(value, ast.Constant) and value.value in (False, None):
+            return True
+        if isinstance(value, (ast.List, ast.Tuple)) and not value.elts:
+            return True
+    return False
+
+
+def _has_accounting(nodes: Iterable[ast.AST]) -> bool:
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.AugAssign) and isinstance(sub.op, ast.Add):
+                if ACCOUNT_RE.search(chain_text(sub.target)):
+                    return True
+            elif (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr in ("inc", "observe", "add")
+                and ACCOUNT_RE.search(chain_text(sub.func.value))
+            ):
+                return True
+    return False
 
 
 def _calls_in(nodes: Iterable[ast.AST]) -> List[ast.Call]:
@@ -82,7 +119,7 @@ class InterprocDropConservationRule(Rule):
     def _accounted(
         self, sem, symbols, info, nodes: Iterable[ast.AST]
     ) -> bool:
-        """RL004's in-place check, then one resolved call level down."""
+        """Accounting among ``nodes``, else one resolved call level down."""
         nodes = list(nodes)
         if _has_accounting(nodes):
             return True
@@ -95,7 +132,7 @@ class InterprocDropConservationRule(Rule):
                 return True
         return False
 
-    # -- the two RL004 shapes, upgraded ----------------------------------
+    # -- the two discard shapes ------------------------------------------
 
     def _check_guard(
         self, sem, module, symbols, info, node: ast.If

@@ -4,7 +4,6 @@ SARIF (Static Analysis Results Interchange Format) is what GitHub code
 scanning ingests: uploading the run annotates the PR diff with each
 finding as an alert, rule metadata included.  The mapping is direct —
 one reprolint run becomes one SARIF ``run``, every registered rule
-(superseded ones included, so old alerts keep resolving their rule id)
 becomes a ``reportingDescriptor``, every finding a ``result``.
 
 Two details matter for alert lifecycle stability:
@@ -41,20 +40,13 @@ def _fingerprint_hash(finding: Finding) -> str:
 
 
 def _rule_descriptor(rule: Rule) -> dict:
-    descriptor = {
+    return {
         "id": rule.rule_id,
         "name": type(rule).__name__,
         "shortDescription": {"text": rule.title},
         "help": {"text": "See docs/STATIC_ANALYSIS.md for the rule catalog."},
         "defaultConfiguration": {"level": "error"},
     }
-    superseded = getattr(rule, "superseded_by", None)
-    if superseded:
-        descriptor["deprecatedIds"] = [rule.rule_id]
-        descriptor["shortDescription"] = {
-            "text": f"{rule.title} (superseded by {superseded})"
-        }
-    return descriptor
 
 
 def _result(finding: Finding) -> dict:

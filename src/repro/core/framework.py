@@ -31,8 +31,7 @@ from repro.faults.plan import FaultInjector
 from repro.faults.recovery import CircuitBreaker, RetryPolicy, Watchdog
 from repro.hw.gpu import GPUDevice
 from repro.core.slowpath import SlowPathHandler
-from repro.io_engine.rss import RSSHasher
-from repro.net.packet import parse_packet
+from repro.io_engine.rss import ShardMap
 from repro.obs import (
     BATCH_SIZE_BUCKETS,
     Events,
@@ -95,6 +94,10 @@ class _Node:
     workers: List[_Worker]
     input_queue: MasterInputQueue
     gpu: Optional[GPUDevice]
+    #: RSS steering onto this node's workers only (the NUMA-aware
+    #: indirection of Section 4.5): flows stick to one worker, which is
+    #: what preserves intra-flow order end to end (Section 5.3).
+    shard_map: ShardMap
 
 
 class PacketShader:
@@ -213,6 +216,7 @@ class PacketShader:
                     )
                     if self.config.use_gpu
                     else None,
+                    shard_map=ShardMap(len(workers)),
                 )
             )
         # Recovery machinery: one breaker per GPU device gates its node's
@@ -222,13 +226,6 @@ class PacketShader:
             n.node_id: CircuitBreaker(device_id=n.node_id) for n in self.nodes
         }
         self.watchdog = Watchdog()
-        self._rr_worker: Dict[int, int] = {n.node_id: 0 for n in self.nodes}
-        # One RSS indirection per node, mapping flows onto the node's
-        # workers only (the NUMA-aware steering of Section 4.5).
-        self._rss: Dict[int, RSSHasher] = {
-            n.node_id: RSSHasher(queue_map=list(range(len(n.workers))))
-            for n in self.nodes
-        }
 
     # ------------------------------------------------------------------
     # Ingress.
@@ -248,28 +245,6 @@ class PacketShader:
             raise ValueError(f"port {port} out of range")
         return node
 
-    def _worker_of_frame(self, frame: bytearray, node: _Node) -> _Worker:
-        """RSS worker selection: flows stick to one worker (Section 4.4).
-
-        Frames carrying a 5-tuple hash to a worker of the ingress node
-        (the NUMA-steered RSS of Section 4.5: local-node queues only);
-        non-IP frames fall back to round-robin.  Flow stickiness is what
-        preserves intra-flow packet order end to end (Section 5.3).
-        """
-        flow = None
-        try:
-            flow = parse_packet(bytes(frame)).five_tuple()
-        except ValueError:
-            pass
-        if flow is None:
-            worker = node.workers[self._rr_worker[node.node_id]]
-            self._rr_worker[node.node_id] = (
-                self._rr_worker[node.node_id] + 1
-            ) % len(node.workers)
-            return worker
-        hasher = self._rss[node.node_id]
-        return node.workers[hasher.queue_for(flow)]
-
     def _chunks_from(self, frames: List[bytearray], in_port: int) -> List[Chunk]:
         """Distribute ingress frames to workers by RSS, then chunk.
 
@@ -277,20 +252,14 @@ class PacketShader:
         arrival order is preserved (the RX queue is a FIFO).
         """
         node = self.nodes[self.node_of_port(in_port)]
-        per_worker: Dict[int, List[bytearray]] = {}
-        # RSS distribution is per-packet by design: each frame's flow
-        # tuple is extracted and hashed, as the NIC would.
-        for frame in frames:  # reprolint: ignore[RL006]
-            worker = self._worker_of_frame(frame, node)
-            per_worker.setdefault(worker.worker_id, []).append(frame)
+        shares = node.shard_map.partition(frames)
         chunks = []
         cap = self.effective_chunk_capacity()
         # Chunks built here (process_frames, no I/O engine) anchor
         # their trace context at the recorder's current seq: the most
         # recent event in flight when the batch entered the router.
         ctx = (self.flightrec.writer_id, self.flightrec.seq)
-        for worker in node.workers:
-            share = per_worker.get(worker.worker_id, [])
+        for worker, share in zip(node.workers, shares):
             for start in range(0, len(share), cap):
                 chunk = Chunk(
                     frames=share[start:start + cap],
@@ -318,11 +287,7 @@ class PacketShader:
                 cycles=FRAMEWORK.queue_handoff_cycles * len(chunks),
             )
             for chunk in chunks:
-                work = chunk.gpu_input
-                if work is None:
-                    chunk.gpu_output = None
-                else:
-                    self._launch_chunk(node, chunk, work)
+                self.shade_chunk(chunk, node)
                 worker = node.workers[
                     chunk.worker_id - node.workers[0].worker_id
                 ]
@@ -333,9 +298,15 @@ class PacketShader:
                     cycles=FRAMEWORK.queue_handoff_cycles,
                 )
 
-    def _launch_chunk(self, node: _Node, chunk: Chunk, work) -> None:
-        """Launch one chunk's GPU work, absorbing faults (Section 5.4 +
-        the degradation ladder: retry with backoff -> breaker -> CPU).
+    def shade_chunk(self, chunk: Chunk, node: Optional[_Node] = None) -> None:
+        """The master step for one gathered chunk: launch its GPU work,
+        absorbing faults (Section 5.4 + the degradation ladder: retry
+        with backoff -> breaker -> CPU).
+
+        The one launch site of both masters: :meth:`_shade_node` loops
+        over it in process, and the forked plane's master process calls
+        it on its own router (docs/SHARDING.md).  A chunk whose
+        pre-shading left no GPU work gets ``gpu_output = None``.
 
         Transient launch failures are retried up to the policy's budget
         with exponential backoff (charged as modelled wait time).  A
@@ -345,6 +316,11 @@ class PacketShader:
         (TTLs are already decremented), so the fallback runs the kernel
         function itself on the host.
         """
+        node = node or self.nodes[0]
+        work = chunk.gpu_input
+        if work is None:
+            chunk.gpu_output = None
+            return
         breaker = self.breakers[node.node_id]
         if breaker.is_open:
             # The breaker opened while this chunk sat in the input queue:

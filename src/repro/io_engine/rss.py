@@ -30,6 +30,10 @@ MICROSOFT_RSS_KEY = bytes(
     ]
 )
 
+#: Flows a :class:`ShardMap` memoises before it clears and starts over:
+#: bounds the memo of a long-lived router under flow churn.
+FLOW_CACHE_MAX = 1 << 16
+
 
 class RSSHasher:
     """Toeplitz hasher plus an indirection table of queue indices.
@@ -101,14 +105,16 @@ class RSSHasher:
 
 
 class ShardMap:
-    """RSS flow steering lifted to worker *processes* (docs/SHARDING.md).
+    """RSS flow steering of raw frames onto N shards (docs/SHARDING.md).
 
-    The sharded data plane assigns each flow to exactly one worker
-    process the same way the NIC assigns flows to RX queues: Toeplitz
-    hash of the 5-tuple, modulo the shard count.  Flow affinity is the
-    correctness keystone — every packet of a flow is pre-shaded,
-    shaded, and post-shaded by one worker, so per-flow state (flow
-    tables, reordering) never crosses a process boundary.
+    The one frame-level steering of the data plane: a router's node
+    steers onto its worker threads with it
+    (:class:`repro.core.framework.PacketShader`), the sharded plane
+    onto its worker processes — the same way the NIC assigns flows to
+    RX queues: Toeplitz hash of the 5-tuple, modulo the shard count.
+    Flow affinity is the correctness keystone — every packet of a flow
+    is pre-shaded, shaded, and post-shaded by one worker, so per-flow
+    state (flow tables, reordering) never crosses a worker boundary.
 
     Frames that carry no 5-tuple (ARP, malformed L3, unknown
     EtherTypes) cannot hash; they fall back to a deterministic
@@ -125,7 +131,9 @@ class ShardMap:
         self._hasher = RSSHasher(queue_map=range(num_shards), key=key)
         #: Hash memo: 5-tuples repeat heavily (flows), the Toeplitz
         #: inner loop is bit-serial; caching makes steering O(1) per
-        #: packet after a flow's first frame.
+        #: packet after a flow's first frame.  Cleared when it reaches
+        #: FLOW_CACHE_MAX entries — the hash is pure, so a cleared
+        #: memo changes cost, never placement.
         self._cache: Dict[Tuple[int, int, int, int, int, bool], int] = {}
         #: Round-robin state for unhashable frames (see class docstring).
         self.fallbacks = 0
@@ -139,6 +147,8 @@ class ShardMap:
         shard = self._cache.get(memo_key)
         if shard is None:
             shard = self._hasher.hash_flow(flow) % self.num_shards
+            if len(self._cache) >= FLOW_CACHE_MAX:
+                self._cache.clear()
             self._cache[memo_key] = shard
         return shard
 

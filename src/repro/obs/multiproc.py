@@ -33,9 +33,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.obs.flightrec import FlightRecorder, set_flightrec
 from repro.obs.registry import MetricsRegistry
@@ -67,49 +68,57 @@ def worker_session(prefix: str = "repro-obs") -> str:
     return f"{prefix}-{os.getpid():x}"
 
 
-def _worker_main(session: str, writer_id: int, spec: WorkerSpec,
-                 stop, dump_dir: Optional[str]) -> None:
-    """One worker process: install shm observability, step the workload.
+@contextmanager
+def worker_obs(session: str, writer_id: int, dump_dir: Optional[str],
+               reason: str) -> Iterator[None]:
+    """A worker process's observability stack, for the body's lifetime.
 
-    Runs in the child.  The obs stack is installed *before* the runner
-    is built so every instrumented constructor (router, engine, queues,
+    Runs in the child.  Install it *before* building anything
+    instrumented, so every constructor (router, engine, queues,
     breakers) binds instruments that live in this worker's slab and a
-    flight ring stamped with this worker's id.
+    flight ring stamped with this worker's id.  A body that finishes
+    dumps the ring to ``dump_dir`` (when given) under ``reason``.
     """
-    from repro.obs import (
-        reset_profiler,
-        reset_tracer,
-        set_registry,
-    )
-    from repro.obs.top import _ChaosRunner, _ForwardRunner
+    from repro.obs import reset_profiler, reset_tracer, set_registry
 
     slab = MetricSlab.attach(slab_name(session, writer_id))
-    set_registry(ShmMetricsRegistry(slab))
-    reset_tracer()
-    recorder = FlightRecorder(writer_id=writer_id)
-    set_flightrec(recorder)
-    reset_profiler()
-    # Distinct seeds per worker: sibling shards see different traffic,
-    # as distinct RSS queues would.
-    seed = spec.seed + writer_id
-    if spec.scenario is not None:
-        runner = _ChaosRunner(spec.scenario, spec.packets, seed)
-    else:
-        runner = _ForwardRunner(spec.app, spec.packets, seed)
-    done = 0
-    while not stop.is_set():
-        runner.step()
-        done += 1
-        if spec.iterations and done >= spec.iterations:
-            break
-        if spec.interval:
-            time.sleep(spec.interval)
-    if dump_dir:
-        recorder.dump(
-            Path(dump_dir) / f"flightrec-w{writer_id}.jsonl",
-            reason=f"worker-{writer_id}",
-        )
-    slab.close()
+    try:
+        set_registry(ShmMetricsRegistry(slab))
+        reset_tracer()
+        recorder = FlightRecorder(writer_id=writer_id)
+        set_flightrec(recorder)
+        reset_profiler()
+        yield
+        if dump_dir:
+            recorder.dump(
+                Path(dump_dir) / f"flightrec-w{writer_id}.jsonl",
+                reason=reason,
+            )
+    finally:
+        slab.close()
+
+
+def _worker_main(session: str, writer_id: int, spec: WorkerSpec,
+                 stop, dump_dir: Optional[str]) -> None:
+    """One worker process: install shm observability, step the workload."""
+    from repro.obs.top import _ChaosRunner, _ForwardRunner
+
+    with worker_obs(session, writer_id, dump_dir, f"worker-{writer_id}"):
+        # Distinct seeds per worker: sibling shards see different
+        # traffic, as distinct RSS queues would.
+        seed = spec.seed + writer_id
+        if spec.scenario is not None:
+            runner = _ChaosRunner(spec.scenario, spec.packets, seed)
+        else:
+            runner = _ForwardRunner(spec.app, spec.packets, seed)
+        done = 0
+        while not stop.is_set():
+            runner.step()
+            done += 1
+            if spec.iterations and done >= spec.iterations:
+                break
+            if spec.interval:
+                time.sleep(spec.interval)
 
 
 class WorkerFleet:

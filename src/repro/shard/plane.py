@@ -24,32 +24,42 @@ Topology and protocol:
   paper's fairness FIFO), per-worker ``result_queues`` carry them back
   (the scatter side's 1-to-1 queues);
 * each worker regenerates the *full* deterministic ingress stream from
-  the spec's seed and keeps only its shard's frames — the software
-  analogue of every RSS engine hashing every arriving packet;
+  the spec's seed, burst by burst, and keeps only its shard's frames —
+  the software analogue of every RSS engine hashing every arriving
+  packet exactly once;
 * a worker signals completion with a ``("done", worker_id)`` sentinel
   after a blocking transport flush, then reports its totals on the
   report queue; the master exits once every worker is done and the
   submit queue is drained.
 
-:func:`run_plane_inprocess` runs the identical shard decomposition
-sequentially in one process — the reference the differential suite
-compares the multi-process plane against, packet for packet.
+:func:`_run_shard` is the one shard loop.  A forked worker runs it over
+its pool and a :class:`~repro.core.queues.RemoteMasterClient`;
+:func:`run_plane_inprocess` runs it once per shard with neither, in one
+process — the reference the differential suite compares the
+multi-process plane against, packet for packet.  The two differ in the
+process boundary and nothing else.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import queue as _stdlib_queue
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.calib.constants import SYSTEM
+from repro.core.chunk import Chunk
 from repro.core.config import RouterConfig
+from repro.core.framework import PacketShader
+from repro.core.queues import RemoteMasterClient
+from repro.io_engine.rss import ShardMap
 from repro.obs import get_registry, names
+from repro.obs.multiproc import worker_obs, worker_session
 from repro.obs.registry import MetricsRegistry
 from repro.obs.shm import MetricSlab, aggregate_slabs, slab_name
-from repro.shard.pool import DEFAULT_SLOT_BYTES, ShmChunkPool, pool_name
+from repro.shard.pool import ShmChunkPool, pool_name
 
 
 @dataclass
@@ -63,9 +73,7 @@ class PlaneSpec:
     bursts: int = 4
     seed: int = 1
     num_routes: int = 5_000
-    frame_len: int = 0  # 0 = the app's natural default (64 / 78)
     pool_slots: int = 32
-    pool_slot_bytes: int = DEFAULT_SLOT_BYTES
     dump_dir: Optional[str] = None
 
 
@@ -79,6 +87,8 @@ class WorkerReport:
     dropped: int = 0
     slow_path: int = 0
     chunks: int = 0
+    #: Launches of this shard's chunks, wherever its master runs (the
+    #: forked plane's master attributes them; ``collect`` fills it in).
     gpu_launches: int = 0
     #: port -> egress frame count (the observable output of the shard).
     egress: Dict[int, int] = field(default_factory=dict)
@@ -191,23 +201,23 @@ def _worker_config() -> RouterConfig:
     )
 
 
-def _build_app(spec: PlaneSpec):
+def _build_app(spec: PlaneSpec) -> Tuple[object, Callable[[], List[bytearray]]]:
     """(application, burst function) for a spec — deterministic in seed.
 
-    Every worker calls this with the *same* seed: identical tables,
+    Every shard calls this with the *same* seed: identical tables,
     identical full frame stream.  Per-shard traffic comes from the
     ShardMap partition, never from per-worker seeds, so the union of
-    all shards is exactly the unsharded stream.
+    all shards is exactly the unsharded stream.  Frames have the app's
+    natural minimum length (64 B, 78 B for IPv6).
     """
     if spec.app == "ipv6":
         from repro.apps.ipv6 import IPv6Forwarder
         from repro.gen.workloads import ipv6_workload
 
         workload = ipv6_workload(num_routes=spec.num_routes, seed=spec.seed)
-        frame_len = spec.frame_len or 78
         return (
             IPv6Forwarder(workload.table),
-            lambda: workload.generator.ipv6_burst(spec.packets, frame_len),
+            lambda: workload.generator.ipv6_burst(spec.packets, 78),
         )
     if spec.app == "openflow":
         from repro.apps.openflow import OpenFlowApp
@@ -216,107 +226,97 @@ def _build_app(spec: PlaneSpec):
         workload = openflow_workload(
             num_exact=2048, num_wildcard=32, seed=spec.seed
         )
-        frame_len = spec.frame_len or 64
         return (
             OpenFlowApp(workload.switch),
-            lambda: workload.generator.ipv4_burst(spec.packets, frame_len),
+            lambda: workload.generator.ipv4_burst(spec.packets, 64),
         )
     if spec.app == "ipv4":
         from repro.apps.ipv4 import IPv4Forwarder
         from repro.gen.workloads import ipv4_workload
 
         workload = ipv4_workload(num_routes=spec.num_routes, seed=spec.seed)
-        frame_len = spec.frame_len or 64
         return (
             IPv4Forwarder(workload.table),
-            lambda: workload.generator.ipv4_burst(spec.packets, frame_len),
+            lambda: workload.generator.ipv4_burst(spec.packets, 64),
         )
     raise ValueError(f"unknown app {spec.app!r}")
 
 
-def shard_bursts(spec: PlaneSpec, shard: int) -> List[List[bytearray]]:
-    """One shard's sub-stream: the full stream, RSS-partitioned.
+def _run_shard(spec: PlaneSpec, worker_id: int,
+               pool: Optional[ShmChunkPool] = None,
+               transport: Optional[RemoteMasterClient] = None) -> WorkerReport:
+    """The shard loop: one shard's share of the stream through one router.
 
-    A single :class:`ShardMap` persists across bursts so the
-    round-robin fallback for unhashable frames stays globally
-    deterministic — re-partitioning the same stream always lands every
-    frame on the same shard.
+    Streams burst by burst: generate the full burst, keep this shard's
+    share, chunk it at the RX edge (packed straight into ``pool`` slots
+    when there is a pool, heap chunks otherwise), run the workflow.  A
+    single :class:`ShardMap` persists across bursts so the round-robin
+    fallback for unhashable frames stays globally deterministic —
+    every shard's independent partition of the same stream lands every
+    frame on the same shard.  With a ``transport`` the master is another
+    process; without one it is the router's own.
     """
-    from repro.io_engine.rss import ShardMap
-
-    _, burst_fn = _build_app(spec)
-    shard_map = ShardMap(spec.workers)
-    own: List[List[bytearray]] = []
-    for _ in range(spec.bursts):
-        own.append(shard_map.partition(burst_fn())[shard])
-    return own
-
-
-def _pool_chunks(router, pool: ShmChunkPool, frames, worker_id: int):
-    """RX edge of one burst: pack frames straight into pool slots."""
-    cap = router.effective_chunk_capacity()
-    return [
-        pool.build_chunk(frames[start:start + cap], worker_id=worker_id)
-        for start in range(0, len(frames), cap)
-    ]
-
-
-def _plane_worker_main(session: str, worker_id: int, spec: PlaneSpec,
-                       submit_queue, result_queue, report_queue) -> None:
-    """One worker process: obs stack, pool, router, bursts, report."""
-    from repro.core.framework import PacketShader
-    from repro.core.queues import RemoteMasterClient
-    from repro.obs import reset_profiler, reset_tracer, set_registry
-    from repro.obs.flightrec import FlightRecorder, set_flightrec
-    from repro.obs.shm import ShmMetricsRegistry
-
-    slab = MetricSlab.attach(slab_name(session, worker_id))
-    set_registry(ShmMetricsRegistry(slab))
-    reset_tracer()
-    recorder = FlightRecorder(writer_id=worker_id)
-    set_flightrec(recorder)
-    reset_profiler()
-    pool = ShmChunkPool.attach(pool_name(session, worker_id), allocator=True)
-    app, _ = _build_app(spec)
-    transport = RemoteMasterClient(
-        submit_queue, result_queue, worker_id,
-        max_in_flight=pool.nslots, pool=pool,
-    )
+    app, burst_fn = _build_app(spec)
     router = PacketShader(app, config=_worker_config(), transport=transport)
-    egress_counts: Dict[int, int] = {}
-    for burst in shard_bursts(spec, worker_id):
-        chunks = _pool_chunks(router, pool, burst, worker_id)
-        for port, frames in router.process_chunks(chunks).items():
-            egress_counts[port] = egress_counts.get(port, 0) + len(frames)
+    # Chunks keep the router-local worker id 0 (the process *is* the
+    # worker); the transport stamps the shard id on what it submits.
+    build_chunk = pool.build_chunk if pool is not None else Chunk
+    shard_map = ShardMap(spec.workers)
+    cap = router.effective_chunk_capacity()
+    egress_counts: Counter = Counter()
+
+    def tally(egress: Dict[int, List[bytearray]]) -> None:
+        for port, frames in egress.items():
+            egress_counts[port] += len(frames)
+
+    for _ in range(spec.bursts):
+        share = shard_map.partition(burst_fn())[worker_id]
+        chunks = [
+            build_chunk(share[start:start + cap])
+            for start in range(0, len(share), cap)
+        ]
+        tally(router.process_chunks(chunks))
         # Release this burst's slot views before the next pack round
         # (the submitted originals are dead; their clones came back).
         chunks = None
     tail: Dict[int, List[bytearray]] = {}
     router.flush_transport(tail)
-    for port, frames in tail.items():
-        egress_counts[port] = egress_counts.get(port, 0) + len(frames)
-    transport.finish()
-    report_queue.put(WorkerReport(
+    tally(tail)
+    stats = router.stats
+    return WorkerReport(
         worker_id=worker_id,
-        received=router.stats.received,
-        forwarded=router.stats.forwarded,
-        dropped=router.stats.dropped,
-        slow_path=router.stats.slow_path,
-        chunks=router.stats.chunks,
-        gpu_launches=router.stats.gpu_launches,
-        egress=egress_counts,
+        received=stats.received,
+        forwarded=stats.forwarded,
+        dropped=stats.dropped,
+        slow_path=stats.slow_path,
+        chunks=stats.chunks,
+        gpu_launches=stats.gpu_launches,
+        egress=dict(egress_counts),
         # The pool's own tally, so RX-edge heap builds and later
         # ensure_packed escapes in submit() both count — the report
         # agrees with the SHARD_POOL_FALLBACKS metric exactly.
-        shm_fallbacks=pool.fallback_count,
-    ))
-    if spec.dump_dir:
-        recorder.dump(
-            Path(spec.dump_dir) / f"flightrec-w{worker_id}.jsonl",
-            reason=f"shard-worker-{worker_id}",
+        shm_fallbacks=pool.fallback_count if pool is not None else 0,
+    )
+
+
+def _plane_worker_main(session: str, worker_id: int, spec: PlaneSpec,
+                       submit_queue, result_queue, report_queue) -> None:
+    """One worker process: obs stack, pool, transport, the shard loop."""
+    with worker_obs(session, worker_id, spec.dump_dir,
+                    f"shard-worker-{worker_id}"):
+        pool = ShmChunkPool.attach(
+            pool_name(session, worker_id), allocator=True
         )
-    pool.close()
-    slab.close()
+        try:
+            transport = RemoteMasterClient(
+                submit_queue, result_queue, worker_id,
+                max_in_flight=pool.nslots, pool=pool,
+            )
+            report = _run_shard(spec, worker_id, pool, transport)
+            transport.finish()
+            report_queue.put(report)
+        finally:
+            pool.close()
 
 
 class ShardedDataPlane:
@@ -329,18 +329,15 @@ class ShardedDataPlane:
     #: Seconds of master-side silence that mean a worker died.
     MASTER_TIMEOUT = 60.0
 
-    def __init__(self, spec: PlaneSpec,
-                 session: Optional[str] = None,
-                 start_method: Optional[str] = None) -> None:
+    def __init__(self, spec: PlaneSpec) -> None:
         if spec.workers < 1:
             raise ValueError("workers must be >= 1")
         self.spec = spec
-        from repro.obs.multiproc import worker_session
-
-        self.session = session or worker_session("repro-shard")
+        self.session = worker_session("repro-shard")
         methods = multiprocessing.get_all_start_methods()
-        method = start_method or ("fork" if "fork" in methods else "spawn")
-        self._ctx = multiprocessing.get_context(method)
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         # The parent creates (and so owns) every segment up front.
         self.slabs: List[MetricSlab] = [
             MetricSlab.create(slab_name(self.session, wid), writer_id=wid)
@@ -349,7 +346,7 @@ class ShardedDataPlane:
         self.pools: List[ShmChunkPool] = [
             ShmChunkPool.create(
                 pool_name(self.session, wid),
-                slots=spec.pool_slots, slot_bytes=spec.pool_slot_bytes,
+                slots=spec.pool_slots,
             )
             for wid in range(spec.workers)
         ]
@@ -357,6 +354,12 @@ class ShardedDataPlane:
         self.result_queues = [self._ctx.Queue() for _ in range(spec.workers)]
         self.report_queue = self._ctx.Queue()
         self.procs: List = []
+        #: This run's master tallies (the registry counters below are
+        #: process-global and keep counting across runs).
+        self.master_batches = 0
+        self.master_chunks = 0
+        #: shard -> GPU launches the master made for its chunks.
+        self.launches: Counter = Counter()
         registry = get_registry()
         self._m_batches = registry.counter(
             names.SHARD_MASTER_BATCHES,
@@ -393,15 +396,14 @@ class ShardedDataPlane:
         gather width — so GPU batching adapts to load exactly like the
         in-process master's ``get_batch``.
         """
-        from repro.hw.gpu import GPUDevice
-
-        device = GPUDevice(device_id=0, node=0)
         # The master's own application instance plays the role of GPU
         # device memory: kernels arrive stripped of their callables
         # (GPUWorkItem.__getstate__) and rebind against the tables held
-        # here — identical copies, built from the same seed.
+        # here — identical copies, built from the same seed.  Its
+        # router runs no workers; it is here for the master step.
         app, _ = _build_app(self.spec)
-        gather = _worker_config().effective_gather_chunks()
+        master = PacketShader(app, config=_worker_config())
+        gather = master.config.effective_gather_chunks()
         done: set = set()
         while len(done) < self.spec.workers:
             batch = []
@@ -435,17 +437,18 @@ class ShardedDataPlane:
                     break
             if not batch:
                 continue
+            self.master_batches += 1
+            self.master_chunks += len(batch)
             self._m_batches.inc()
             self._m_chunks.inc(len(batch))
             for chunk in batch:
-                work = chunk.gpu_input
-                if work is None:
-                    chunk.gpu_output = None
-                else:
-                    app.bind_kernel(work)
-                    result = work.launch_on(device)
-                    chunk.gpu_output = result.output
-                    chunk.service_ns += result.total_ns
+                if chunk.gpu_input is not None:
+                    app.bind_kernel(chunk.gpu_input)
+                launched = master.stats.gpu_launches
+                master.shade_chunk(chunk)
+                self.launches[chunk.worker_id] += (
+                    master.stats.gpu_launches - launched
+                )
                 scatter_chunk(self.result_queues[chunk.worker_id], chunk)
 
     def collect(self) -> PlaneReport:
@@ -462,12 +465,13 @@ class ShardedDataPlane:
         for wid, proc in enumerate(self.procs):
             report = reports.setdefault(wid, WorkerReport(worker_id=wid))
             report.exitcode = proc.exitcode
+            report.gpu_launches = self.launches[wid]
         return PlaneReport(
             spec=self.spec,
             workers=[reports[wid] for wid in sorted(reports)],
             injected=self.spec.bursts * self.spec.packets,
-            master_batches=int(self._m_batches.value),
-            master_chunks=int(self._m_chunks.value),
+            master_batches=self.master_batches,
+            master_chunks=self.master_chunks,
         )
 
     def aggregate(self, into: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -501,43 +505,27 @@ class ShardedDataPlane:
         return self.collect()
 
 
-def run_plane(spec: PlaneSpec, **kwargs) -> PlaneReport:
+def run_plane(spec: PlaneSpec) -> PlaneReport:
     """Run one sharded plane end to end (segments cleaned up)."""
-    with ShardedDataPlane(spec, **kwargs) as plane:
+    with ShardedDataPlane(spec) as plane:
         return plane.run()
 
 
 def run_plane_inprocess(spec: PlaneSpec) -> PlaneReport:
     """The sequential reference: same shards, one process, no queues.
 
-    Runs each shard's exact sub-stream through its own single-worker
-    router, one shard after another.  The differential suite asserts
-    the multi-process plane matches this packet for packet — same
-    verdict totals, same per-port egress counts.
+    Runs :func:`_run_shard` for each shard in turn, each with its own
+    application instance (per-shard state such as the OpenFlow flow
+    table stays separate, as it does across processes) and the
+    router's in-process master.  The differential suite asserts the
+    multi-process plane matches this packet for packet — same verdict
+    totals, same per-port egress counts.
     """
-    from repro.core.framework import PacketShader
-
-    reports: List[WorkerReport] = []
-    for wid in range(spec.workers):
-        app, _ = _build_app(spec)
-        router = PacketShader(app, config=_worker_config())
-        egress_counts: Dict[int, int] = {}
-        for burst in shard_bursts(spec, wid):
-            for port, frames in router.process_frames(burst).items():
-                egress_counts[port] = egress_counts.get(port, 0) + len(frames)
-        reports.append(WorkerReport(
-            worker_id=wid,
-            received=router.stats.received,
-            forwarded=router.stats.forwarded,
-            dropped=router.stats.dropped,
-            slow_path=router.stats.slow_path,
-            chunks=router.stats.chunks,
-            gpu_launches=router.stats.gpu_launches,
-            egress=egress_counts,
-            exitcode=0,
-        ))
     return PlaneReport(
         spec=spec,
-        workers=reports,
+        workers=[
+            replace(_run_shard(spec, wid), exitcode=0)
+            for wid in range(spec.workers)
+        ],
         injected=spec.bursts * spec.packets,
     )

@@ -111,6 +111,9 @@ class Testbed:
             raise ValueError(f"unknown port {port}")
         driver = self.drivers[port]
         accepted = 0
+        # Not ShardMap: this NIC model puts frames without a 5-tuple on
+        # queue 0 where ShardMap round-robins them, and the committed
+        # BENCH_degraded.json depends on that placement.
         for frame in frames:
             flow = None
             try:

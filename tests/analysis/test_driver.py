@@ -153,8 +153,11 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005"):
+        lines = out.splitlines()
+        assert len(lines) == 11
+        for rule_id in ("RL001", "RL002", "RL003", "RL005", "RL011"):
             assert rule_id in out
+        assert "RL004" not in out and "superseded" not in out
 
 
 class TestRealTree:

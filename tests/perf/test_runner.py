@@ -128,6 +128,24 @@ class TestManifest:
             assert entry["within_tol"], figure
             assert entry["bottleneck"], figure
 
+    def test_gitignore_whitelists_exactly_the_registered_figures(self):
+        """registry == manifest == the ``!BENCH_<id>.json`` negations, so
+        a newly registered figure cannot be written but git-ignored."""
+        import re
+
+        from repro.perf.registry import figure_ids
+
+        manifest = json.loads(
+            (runner.REPO_ROOT / runner.MANIFEST_NAME).read_text()
+        )
+        negated = re.findall(
+            r"^!BENCH_(\w+)\.json$",
+            (runner.REPO_ROOT / ".gitignore").read_text(),
+            flags=re.MULTILINE,
+        )
+        negated.remove("manifest")
+        assert sorted(negated) == figure_ids() == sorted(manifest["figures"])
+
     def test_committed_per_figure_artifacts_validate(self):
         from repro.perf.registry import figure_ids
 

@@ -19,15 +19,16 @@ import pytest
 
 from repro.core.chunk import Chunk
 from repro.faults.scenarios import run_scenario
-from repro.io_engine.rss import ShardMap
+from repro.io_engine import rss
+from repro.io_engine.rss import RSSHasher, ShardMap
 from repro.obs import names
+from repro.shard import plane
 from repro.shard.plane import (
     PlaneSpec,
     ShardedDataPlane,
     run_plane,
     run_plane_inprocess,
     scatter_chunk,
-    shard_bursts,
 )
 
 
@@ -78,15 +79,41 @@ class TestShardMap:
         assert shard_map.fallbacks == 6
 
     def test_shard_bursts_union_is_the_full_stream(self):
+        """Every shard loop streams exactly its partition of every
+        burst: per-shard ingress matches an independent partition of
+        the same seeded stream, and the shards add up to the stream."""
         spec = small_spec(seed=2)
-        per_shard = [shard_bursts(spec, wid) for wid in range(spec.workers)]
-        assert all(len(b) == spec.bursts for b in per_shard)
-        for burst_idx in range(spec.bursts):
-            total = sum(
-                len(per_shard[wid][burst_idx])
-                for wid in range(spec.workers)
+        _, burst_fn = plane._build_app(spec)
+        shard_map = ShardMap(spec.workers)
+        expected = [0] * spec.workers
+        for _ in range(spec.bursts):
+            parts = shard_map.partition(burst_fn())
+            assert sum(map(len, parts)) == spec.packets
+            for wid, part in enumerate(parts):
+                expected[wid] += len(part)
+        report = run_plane_inprocess(spec)
+        assert [w.received for w in report.workers] == expected
+
+    def test_flow_memo_is_capped_and_placement_unchanged(self, monkeypatch):
+        from repro.net.packet import build_udp_ipv4
+
+        cap = 32
+        frames = [
+            build_udp_ipv4(
+                0x0A000001 + i, 0xC0A80001, 1024 + i, 53, frame_len=64
             )
-            assert total == spec.packets
+            for i in range(2 * cap)
+        ] * 2
+        uncapped = ShardMap(3).partition(frames)
+        monkeypatch.setattr(rss, "FLOW_CACHE_MAX", cap)
+        capped_map = ShardMap(3)
+        sizes = []
+        capped = [[] for _ in range(3)]
+        for frame in frames:
+            capped[capped_map.shard_of_frame(frame)].append(frame)
+            sizes.append(len(capped_map._cache))
+        assert max(sizes) == cap
+        assert capped == uncapped
 
 
 class TestDifferential:
@@ -112,6 +139,8 @@ class TestDifferential:
                 s.received, s.forwarded, s.dropped, s.slow_path
             )
             assert m.egress == s.egress
+            assert (m.chunks, m.gpu_launches) == (s.chunks, s.gpu_launches)
+            assert m.gpu_launches > 0
 
     def test_no_byte_copies_crossed_the_boundary(self):
         """Every chunk of a healthy run travels as a descriptor: the
@@ -130,6 +159,14 @@ class TestDifferential:
         report = run_plane(small_spec(app="ipv4", seed=1))
         assert report.master_chunks > 0
         assert 0 < report.master_batches <= report.master_chunks
+
+    def test_master_tallies_are_per_run(self):
+        """A second plane in the same process reports its own master
+        counts, not the running total of the process-global metrics."""
+        spec = small_spec(app="ipv4", seed=1)
+        first, second = run_plane(spec), run_plane(spec)
+        assert first.master_chunks == second.master_chunks > 0
+        assert sum(w.chunks for w in second.workers) == second.master_chunks
 
     def test_fallback_chunks_still_match_reference(self):
         """A one-slot pool starves the RX edge, so most chunks cross
@@ -152,6 +189,40 @@ class TestDifferential:
         assert report.shm_fallbacks == int(
             merged.counter(names.SHARD_POOL_FALLBACKS).value
         )
+
+
+class TestOnce:
+    """Each fact is computed once per shard: one application build,
+    one Toeplitz hash per packet."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"build": 0, "toeplitz": 0}
+        build_app, toeplitz = plane._build_app, RSSHasher.toeplitz
+
+        def counting_build(spec):
+            counts["build"] += 1
+            return build_app(spec)
+
+        def counting_toeplitz(self, data):
+            counts["toeplitz"] += 1
+            return toeplitz(self, data)
+
+        monkeypatch.setattr(plane, "_build_app", counting_build)
+        monkeypatch.setattr(RSSHasher, "toeplitz", counting_toeplitz)
+        return counts
+
+    def test_one_worker_reference_hashes_each_packet_once(self, calls):
+        spec = small_spec(workers=1)
+        report = run_plane_inprocess(spec)
+        assert report.conservation_ok
+        assert calls == {
+            "build": 1, "toeplitz": spec.packets * spec.bursts,
+        }
+
+    def test_one_app_per_shard(self, calls):
+        run_plane_inprocess(small_spec(workers=2))
+        assert calls["build"] == 2
 
 
 class _FeederQueue:
