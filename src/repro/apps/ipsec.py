@@ -4,8 +4,11 @@ ESP tunnel mode with AES-128-CTR and HMAC-SHA1.  The GPU kernel performs
 the ciphering at two granularities, as the paper describes: AES at the
 finest level ("we chop packets into AES blocks (16B) and map each block
 to one GPU thread") and SHA-1 at the packet level (its block chain is
-serial).  The CPU side — in both modes — assembles the ESP
-encapsulation; in CPU-only mode it also runs the (SSE-modelled) ciphers.
+serial).  The kernel body here has the same shape and takes a whole
+chunk: ``esp_encapsulate_batch`` / ``esp_decapsulate_batch`` run one
+AES-CTR pass over every block of every gathered packet and HMAC-SHA1 in
+lockstep lanes, a lane per packet (docs/PERF.md, "IPsec kernel").  The
+CPU-only mode runs the same functions on the host.
 
 Throughput accounting uses *input* bytes, as the paper does ("we take
 input throughput as a metric rather than output throughput" since ESP
@@ -25,8 +28,8 @@ from repro.core.chunk import Chunk
 from repro.crypto.esp import (
     PROTO_ESP,
     SecurityAssociation,
-    esp_decapsulate,
-    esp_encapsulate,
+    esp_decapsulate_batch,
+    esp_encapsulate_batch,
 )
 from repro.crypto.sha1 import sha1_block_count
 from repro.hw.gpu import KernelSpec
@@ -55,16 +58,9 @@ class IPsecGateway(RouterApplication):
     # ------------------------------------------------------------------
 
     def _encrypt_batch(self, inners: List[Optional[bytes]]) -> List[Optional[bytes]]:
-        """The GPU kernel body: ESP-encapsulate each inner packet.
-
-        AES-CTR inside ``esp_encapsulate`` is numpy-vectorised across the
-        packet's blocks — the block-per-thread parallelism — while the
-        per-packet loop is the packet-level SHA-1 parallelism.
-        """
-        out: List[Optional[bytes]] = []
-        for inner in inners:
-            out.append(None if inner is None else esp_encapsulate(self.sa, inner))
-        return out
+        """The GPU kernel body: ESP-encapsulate the chunk's gathered
+        packets (``None`` where a packet was not gathered)."""
+        return esp_encapsulate_batch(self.sa, inners)
 
     def _gather(self, chunk: Chunk) -> List[Optional[bytes]]:
         batch = chunk.batch()
@@ -203,15 +199,11 @@ class IPsecDecapGateway(RouterApplication):
     # -- functional ------------------------------------------------------
 
     def _decrypt_batch(self, outers: List[Optional[bytes]]):
-        results = []
-        for outer in outers:
-            if outer is None:
-                results.append((None, "not-esp"))
-                continue
-            results.append(
-                esp_decapsulate(self.sa, outer, check_replay=self.check_replay)
-            )
-        return results
+        """The GPU kernel body: one (inner, status) per packet of the
+        chunk, ``(None, "not-esp")`` where a packet was not gathered."""
+        return esp_decapsulate_batch(
+            self.sa, outers, check_replay=self.check_replay
+        )
 
     def _gather(self, chunk: Chunk) -> List[Optional[bytes]]:
         batch = chunk.batch()

@@ -1,4 +1,4 @@
-"""AES-128 from scratch, with a numpy-vectorised CTR mode.
+"""AES-128 from scratch, with CTR mode at block granularity.
 
 The S-box and T-tables are *computed* (GF(2^8) inversion plus the affine
 map) rather than pasted, and verified against FIPS-197 vectors in the
@@ -6,18 +6,27 @@ tests.  Block encryption uses the classic four T-table formulation — the
 exact layout GPU implementations of the era used with shared-memory
 lookup tables, which is why the paper's AES kernel is memory-friendly.
 
-``aes_ctr_keystream`` generates the keystream for *many counter blocks at
-once* as numpy gathers over the T-tables: the software analogue of the
-paper's one-GPU-thread-per-16B-block parallelisation.
+CTR blocks are independent, so the unit of parallelism is the 16-byte
+block, not the packet ("we chop packets into AES blocks (16B) and map
+each block to one GPU thread", Section 6.2.4).  ``AES128.encrypt_states``
+runs every round as numpy gathers over all the blocks it is given, and
+there are two callers:
+
+* ``aes_ctr_xor_lanes`` — the data path: the counter blocks of *every
+  packet of a chunk* in one ``encrypt_states`` call and one XOR over one
+  flat buffer;
+* ``aes_ctr_keystream`` / ``aes_ctr_xor`` — one packet at a time, the
+  reference the chunk path is tested against (RFC 3686 vectors).
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
 _NB_ROUNDS = 10
+AES_BLOCK_BYTES = 16
 
 
 def _xtime(value: int) -> int:
@@ -219,5 +228,46 @@ def aes_ctr_xor(aes: AES128, nonce: bytes, iv: bytes, data: bytes) -> bytes:
     if not data:
         return b""
     num_blocks = (len(data) + 15) // 16
-    keystream = aes_ctr_keystream(aes, nonce, iv, num_blocks)[:len(data)]
-    return bytes(a ^ b for a, b in zip(data, keystream))
+    keystream = aes_ctr_keystream(aes, nonce, iv, num_blocks)
+    return (
+        np.frombuffer(data, dtype=np.uint8)
+        ^ np.frombuffer(keystream, dtype=np.uint8, count=len(data))
+    ).tobytes()
+
+
+def aes_ctr_xor_lanes(aes: AES128, nonce: bytes, ivs: np.ndarray,
+                      packets: Sequence[bytes]) -> List[memoryview]:
+    """``aes_ctr_xor`` for many packets with one AES call and one XOR.
+
+    ``packets[i]`` is ciphered under ``ivs[i]``; ``ivs`` is an ``(n, 2)``
+    uint32 array, each packet's 8-byte IV as two big-endian words.  Every
+    packet is laid out on a whole number of AES blocks in one flat
+    buffer, and the RFC 3686 counter blocks of all of them (nonce | IV |
+    1..n, restarting per packet) go through ``encrypt_states`` together.
+    The results are views of the XORed buffer, one per packet.
+    """
+    if len(nonce) != 4:
+        raise ValueError("CTR needs a 4-byte nonce")
+    lengths = np.fromiter(map(len, packets), dtype=np.int64, count=len(packets))
+    num_blocks = -(-lengths // AES_BLOCK_BYTES)
+    first_block = np.cumsum(num_blocks) - num_blocks
+    total = int(num_blocks.sum())
+    states = np.empty((total, 4), dtype=np.uint32)
+    states[:, 0] = int.from_bytes(nonce, "big")
+    states[:, 1:3] = np.repeat(ivs, num_blocks, axis=0)
+    states[:, 3] = np.arange(1, total + 1) - np.repeat(first_block, num_blocks)
+    keystream = aes.encrypt_states(states).astype(">u4").view(np.uint8)
+
+    zeros = bytes(AES_BLOCK_BYTES)
+    flat = b"".join(
+        part
+        for packet in packets
+        for part in (packet, zeros[:-len(packet) % AES_BLOCK_BYTES])
+    )
+    mixed = memoryview(np.frombuffer(flat, dtype=np.uint8) ^ keystream.reshape(-1))
+    return [
+        mixed[start:start + length]
+        for start, length in zip(
+            (first_block * AES_BLOCK_BYTES).tolist(), lengths.tolist()
+        )
+    ]

@@ -1,10 +1,16 @@
-"""SHA-1 (FIPS 180) and HMAC-SHA1 (RFC 2104), from scratch.
+"""SHA-1 (FIPS 180) and HMAC-SHA1 (RFC 2104), from scratch, one message
+at a time.
 
 SHA-1 processes 64-byte blocks with a serial dependency between blocks —
 which is why the paper parallelises it "at the packet level" on the GPU
 rather than at block level.  HMAC adds two extra compression passes
 (the ipad and opad blocks), a fixed per-packet cost the CPU cost model
 charges explicitly.
+
+This module is plain-integer Python and is not on the gateway's data
+path: :mod:`repro.crypto.sha1_lanes` hashes a chunk's packets in
+lockstep and is tested against the functions here, which in turn are
+pinned to the FIPS/RFC vectors.
 
 HMAC-SHA1-96 (RFC 2404) truncates the tag to 96 bits; it is the ICV
 variant ESP uses.

@@ -4,7 +4,8 @@ The perf scorecard (``runner.py``) measures *simulated* fidelity — its
 committed artifacts are deterministic and carry no timing.  This module
 measures the other axis: how fast the reproduction itself runs.  Each
 microbenchmark times the pre-vectorization per-packet formulation
-(:mod:`repro.apps.scalar_ref`) against the structure-of-arrays fast path
+(:mod:`repro.apps.scalar_ref`; for ESP the packet-at-a-time reference in
+:mod:`repro.crypto.esp`) against the structure-of-arrays fast path
 on identical inputs, so future PRs can see wall-clock regressions in
 ``bench-history.jsonl`` (git-ignored: timings are per-machine).
 
@@ -26,7 +27,9 @@ import numpy as np
 from repro.apps import scalar_ref
 from repro.apps.ipv4 import IPv4Forwarder
 from repro.core.chunk import Chunk
+from repro.crypto.esp import esp_encapsulate, esp_encapsulate_batch
 from repro.gen.packetgen import PacketGenerator
+from repro.gen.workloads import ipsec_workload
 from repro.lookup.dir24_8 import Dir24_8
 from repro.net.checksum import checksum16, checksum16_batch
 from repro.perf import runner, schema
@@ -40,6 +43,11 @@ CHUNK_SIZES = (64, 256)
 #: scheduler/GC contention that can poison a whole 5-sample window.
 CHUNKS_PER_RUN = 16
 REPEAT = 9
+#: Lane counts (packets per kernel call) of the ESP row.  A timed region
+#: here is tens to hundreds of milliseconds, so far fewer repetitions
+#: find a quiet window than the sub-millisecond benches above need.
+ESP_LANES = (64, 256)
+ESP_REPEAT = 3
 
 
 def _best_of_pair(
@@ -164,6 +172,39 @@ def bench_egress_distribution(
     }
 
 
+def bench_esp_encapsulate(lanes: int) -> Dict[str, object]:
+    """Packet-at-a-time ``esp_encapsulate`` vs the chunk kernel on
+    ``lanes`` packets of the wall-clock benchmark's IPsec mix (three 64 B
+    frames, then one 1514 B; bench/README.md)."""
+    rng = np.random.default_rng(4303)
+    inners = [
+        rng.integers(0, 256, size=(1500 if i % 4 == 3 else 50), dtype=np.uint8)
+        .tobytes()
+        for i in range(lanes)
+    ]
+    scalar_sa, batch_sa = ipsec_workload().sa, ipsec_workload().sa
+    outputs: Dict[str, list] = {}
+
+    def run_scalar() -> None:
+        scalar_sa.seq = 0
+        outputs["scalar"] = [esp_encapsulate(scalar_sa, p) for p in inners]
+
+    def run_vector() -> None:
+        batch_sa.seq = 0
+        outputs["vector"] = esp_encapsulate_batch(batch_sa, inners)
+
+    scalar_s, vector_s = _best_of_pair(run_scalar, run_vector, ESP_REPEAT)
+    return {
+        "bench": "esp_encapsulate",
+        "chunk_size": lanes,
+        "packets": lanes,
+        "scalar_us_per_packet": round(scalar_s / lanes * 1e6, 4),
+        "vector_us_per_packet": round(vector_s / lanes * 1e6, 4),
+        "speedup": round(scalar_s / vector_s, 2),
+        "outputs_equal": outputs["scalar"] == outputs["vector"],
+    }
+
+
 def run_scaling_wallclock(
     worker_counts: Tuple[int, ...] = (1, 2),
     app: str = "ipv4",
@@ -212,6 +253,8 @@ def run_wallclock() -> List[Dict[str, object]]:
         results.append(bench_ipv4_classify(chunk_size))
     results.append(bench_checksum())
     results.append(bench_egress_distribution())
+    for lanes in ESP_LANES:
+        results.append(bench_esp_encapsulate(lanes))
     return results
 
 

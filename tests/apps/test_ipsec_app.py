@@ -3,7 +3,11 @@
 
 from repro.apps.ipsec import IPsecGateway
 from repro.core.chunk import Chunk, Disposition
-from repro.crypto.esp import SecurityAssociation, esp_decapsulate
+from repro.crypto.esp import (
+    SecurityAssociation,
+    esp_decapsulate,
+    esp_encapsulate,
+)
 from repro.gen.workloads import ipsec_workload
 from repro.net.packet import build_udp_ipv4, build_udp_ipv6
 
@@ -54,6 +58,13 @@ class TestDataPath:
         tx1 = ipsec_workload().sa
         tx2 = ipsec_workload().sa
         frames = [build_udp_ipv4(i, i + 1, 3, 4, frame_len=90) for i in range(6)]
+        # ... and the benchmark's burst shape: three 64 B, one 1514 B,
+        # with a frame the gateway does not gather in the middle.
+        frames += [
+            build_udp_ipv4(i, i + 1, 3, 4, frame_len=1514 if i % 4 == 3 else 64)
+            for i in range(40)
+        ]
+        frames.insert(20, build_udp_ipv6(1, 2, 3, 4))
         cpu_chunk = chunk_of(frames)
         IPsecGateway(tx1).cpu_process(cpu_chunk)
         gpu_chunk = chunk_of(frames)
@@ -63,6 +74,15 @@ class TestDataPath:
         assert [bytes(f) for f in cpu_chunk.frames] == [
             bytes(f) for f in gpu_chunk.frames
         ]
+        assert tx1.seq == tx2.seq == 46
+        # Both are the chunk kernel; the packet-at-a-time reference must
+        # have produced the same frames from the same SA state.
+        reference = ipsec_workload().sa
+        for sent, tunnelled in zip(frames, gpu_chunk.frames):
+            if len(sent) != len(tunnelled):
+                assert bytes(tunnelled[14:]) == esp_encapsulate(
+                    reference, bytes(sent[14:])
+                )
 
     def test_sequence_numbers_unique_across_chunks(self):
         workload = ipsec_workload()

@@ -5,7 +5,7 @@ import pytest
 from repro.apps.ipsec import IPsecDecapGateway, IPsecGateway
 from repro.core.chunk import Chunk, Disposition
 from repro.core.framework import PacketShader
-from repro.crypto.esp import SecurityAssociation
+from repro.crypto.esp import SecurityAssociation, esp_decapsulate
 from repro.gen.workloads import ipsec_workload
 from repro.net.packet import build_udp_ipv4, build_udp_ipv6
 
@@ -87,6 +87,77 @@ class TestDataPath:
         assert [bytes(f) for f in cpu_clear.frames] == [
             bytes(f) for f in gpu_clear.frames
         ]
+
+    def tunnelled(self, count):
+        encap, decap = tunnel_pair()
+        tunnel = chunk_of([
+            build_udp_ipv4(i + 1, 9, 3, 4, frame_len=1514 if i % 4 == 3 else 64)
+            for i in range(count)
+        ])
+        encap.cpu_process(tunnel)
+        return tunnel.frames, decap
+
+    def test_crafted_frame_is_dropped_not_raised(self):
+        """An outer ``total_length`` with no room for ESP used to raise
+        ``struct.error`` out of ``process_frames`` and lose the chunk."""
+        frames, decap = self.tunnelled(12)
+        frames[5][16:18] = (20).to_bytes(2, "big")
+        router = PacketShader(decap)
+        egress = router.process_frames([bytearray(f) for f in frames])
+        assert decap.drop_reasons == {
+            "bad-icv": 0, "replay": 0, "malformed": 1, "bad-spi": 0,
+        }
+        stats = router.stats
+        assert (stats.forwarded, stats.dropped, stats.slow_path) == (11, 1, 0)
+        assert stats.received == stats.forwarded + stats.dropped + stats.slow_path
+        assert sum(len(f) for f in egress.values()) == 11
+
+    @pytest.mark.parametrize("first_byte", [0x46, 0x55])
+    def test_bad_outer_version_or_options_dropped(self, first_byte):
+        frames, decap = self.tunnelled(3)
+        frames[1][14] = first_byte
+        clear = chunk_of(frames)
+        decap.cpu_process(clear)
+        assert [v.disposition for v in clear.verdicts] == [
+            Disposition.FORWARD, Disposition.DROP, Disposition.FORWARD,
+        ]
+        assert decap.drop_reasons["malformed"] == 1
+
+    def test_drop_reasons_match_the_scalar_reference(self):
+        frames, decap = self.tunnelled(24)
+        stranger_encap = IPsecGateway(SecurityAssociation(
+            spi=0x7777, encryption_key=bytes(16), nonce=bytes(4),
+            auth_key=b"other", tunnel_src=1, tunnel_dst=2,
+        ))
+        stranger = chunk_of([build_udp_ipv4(1, 2, 3, 4)])
+        stranger_encap.cpu_process(stranger)
+        frames[3][60] ^= 1                            # forged
+        frames[6] = stranger.frames[0]                # someone else's SPI
+        frames[10] = bytearray(frames[9])             # replayed
+        frames[11] = bytearray(frames[9])             # twice
+        frames[15][16:18] = (20).to_bytes(2, "big")   # malformed
+        frames[18] = build_udp_ipv6(1, 2, 3, 4)       # not gathered
+
+        reference_sa = tunnel_pair()[1].sa
+        expected = dict.fromkeys(decap.drop_reasons, 0)
+        expected_verdicts = []
+        for frame in frames:
+            if len(frame) < 34 or frame[12:14] != b"\x08\x00" or frame[23] != 50:
+                expected_verdicts.append(Disposition.SLOW_PATH)
+                continue
+            _, status = esp_decapsulate(reference_sa, bytes(frame[14:]))
+            if status == "ok":
+                expected_verdicts.append(Disposition.FORWARD)
+            else:
+                expected_verdicts.append(Disposition.DROP)
+                expected[status] += 1
+
+        clear = chunk_of(frames)
+        decap.cpu_process(clear)
+        assert decap.drop_reasons == expected == {
+            "bad-icv": 1, "replay": 2, "malformed": 1, "bad-spi": 1,
+        }
+        assert [v.disposition for v in clear.verdicts] == expected_verdicts
 
     def test_two_routers_back_to_back(self):
         """Encap router -> decap router, through the framework."""

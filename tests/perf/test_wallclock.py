@@ -17,6 +17,7 @@ def shrink(monkeypatch):
     """Tiny workloads: the harness shape is identical, the runtime isn't."""
     monkeypatch.setattr(wallclock, "CHUNK_SIZES", (8,))
     monkeypatch.setattr(wallclock, "CHUNKS_PER_RUN", 2)
+    monkeypatch.setattr(wallclock, "ESP_LANES", (5,))
 
 
 class TestMicrobenchmarks:
@@ -37,8 +38,20 @@ class TestMicrobenchmarks:
             "ipv4_classify",
             "checksum16",
             "egress_distribution",
+            "esp_encapsulate",
         ]
         assert all(entry["speedup"] > 0 for entry in results)
+
+    def test_esp_row_compares_equal_outputs(self, monkeypatch):
+        shrink(monkeypatch)
+        row = wallclock.run_wallclock()[-1]
+        assert row["bench"] == "esp_encapsulate"
+        assert row["chunk_size"] == row["packets"] == 5
+        assert row["scalar_us_per_packet"] > 0
+        assert row["vector_us_per_packet"] > 0
+        # Both sides restart the SA's sequence, so a repetition of either
+        # must have produced the same outer packets as the other.
+        assert row["outputs_equal"] is True
 
     def test_format_wallclock_renders_a_row_per_bench(self, monkeypatch):
         shrink(monkeypatch)
