@@ -52,15 +52,29 @@ class IPsecGateway(RouterApplication):
     def __init__(self, sa: SecurityAssociation, out_port: int = 0) -> None:
         self.sa = sa
         self.out_port = out_port
+        self.drop_reasons = {"seq-exhausted": 0}
 
     # ------------------------------------------------------------------
     # Functional path.
     # ------------------------------------------------------------------
 
     def _encrypt_batch(self, inners: List[Optional[bytes]]) -> List[Optional[bytes]]:
-        """The GPU kernel body: ESP-encapsulate the chunk's gathered
-        packets (``None`` where a packet was not gathered)."""
-        return esp_encapsulate_batch(self.sa, inners)
+        """The GPU kernel body: ESP-encapsulate everything the master
+        gathered (``None`` where a packet was not gathered).
+
+        An SA whose sequence space cannot cover the call stops sending
+        (RFC 4303 section 3.3.3): the kernel reserves all or nothing, so
+        every gathered packet comes back ``None`` — dropped by
+        :meth:`_apply`, counted under ``seq-exhausted`` — and ``sa.seq``
+        stays where it was until the SA is rekeyed.
+        """
+        try:
+            return esp_encapsulate_batch(self.sa, inners)
+        except OverflowError:
+            self.drop_reasons["seq-exhausted"] += sum(
+                inner is not None for inner in inners
+            )
+            return [None] * len(inners)
 
     def _gather(self, chunk: Chunk) -> List[Optional[bytes]]:
         batch = chunk.batch()
@@ -77,14 +91,15 @@ class IPsecGateway(RouterApplication):
         return inners
 
     def _apply(self, chunk: Chunk, outers: List[Optional[bytes]]) -> None:
-        for index in chunk.pending_indices():
-            outer = outers[index]
-            if outer is None:
-                chunk.verdicts[index].drop()
-                continue
+        pending = chunk.pending_mask()
+        sealed = pending & np.array(
+            [outer is not None for outer in outers], dtype=bool
+        )
+        chunk.set_drop(pending & ~sealed)
+        for index in np.flatnonzero(sealed).tolist():
             eth = bytes(chunk.frames[index][:ETHERNET_HEADER_LEN])
-            chunk.replace_frame(index, bytearray(eth + outer))
-            chunk.verdicts[index].forward_to(self.out_port)
+            chunk.replace_frame(index, bytearray(eth + outers[index]))
+        chunk.set_forward(sealed, self.out_port)
 
     def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
         inners = self._gather(chunk)
@@ -220,16 +235,18 @@ class IPsecDecapGateway(RouterApplication):
         return outers
 
     def _apply(self, chunk: Chunk, results) -> None:
-        for index in chunk.pending_indices():
+        pending = chunk.pending_mask()
+        opened = np.zeros(len(chunk), dtype=bool)
+        for index in np.flatnonzero(pending).tolist():
             inner, status = results[index]
-            if status != "ok" or inner is None:
-                chunk.verdicts[index].drop()
-                if status in self.drop_reasons:
-                    self.drop_reasons[status] += 1
-                continue
-            eth = bytes(chunk.frames[index][:ETHERNET_HEADER_LEN])
-            chunk.replace_frame(index, bytearray(eth + inner))
-            chunk.verdicts[index].forward_to(self.out_port)
+            if status == "ok" and inner is not None:
+                eth = bytes(chunk.frames[index][:ETHERNET_HEADER_LEN])
+                chunk.replace_frame(index, bytearray(eth + inner))
+                opened[index] = True
+            elif status in self.drop_reasons:
+                self.drop_reasons[status] += 1
+        chunk.set_drop(pending & ~opened)
+        chunk.set_forward(opened, self.out_port)
 
     def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
         outers = self._gather(chunk)

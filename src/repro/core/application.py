@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.chunk import Chunk
 from repro.hw.gpu import GPUDevice, KernelSpec
@@ -29,8 +31,12 @@ class GPUWorkItem:
     """One chunk's shading work: the kernel plus its transfer sizes.
 
     ``threads`` is the GPU thread count (one per packet for lookups; one
-    per 16 B AES block for IPsec).  ``run`` executes the real computation
-    and returns the output object the post-shader consumes.
+    per 16 B AES block for IPsec); with ``bytes_in``/``bytes_out`` it is
+    what the modelled launch is charged for, always per chunk.  ``args``
+    is either ``(per_item_sequence,)`` — the gathered input of a kernel
+    that follows the contract on :class:`RouterApplication`, which the
+    master step may concatenate with its neighbours' (:func:`fusable`) —
+    or ``()`` for a kernel that takes no input and is never fused.
     """
 
     spec: KernelSpec
@@ -43,6 +49,13 @@ class GPUWorkItem:
         """Execute on a device; returns the LaunchResult (with output)."""
         return device.launch(
             self.spec, self.threads, self.bytes_in, self.bytes_out, self.args
+        )
+
+    def charge_on(self, device: GPUDevice):
+        """The modelled launch alone: the LaunchResult without running
+        the kernel body (the master step runs it once per gather)."""
+        return device.charge(
+            self.spec, self.threads, self.bytes_in, self.bytes_out
         )
 
     def __getstate__(self) -> dict:
@@ -60,8 +73,73 @@ class GPUWorkItem:
         return state
 
 
+def fusable(a: GPUWorkItem, b: GPUWorkItem) -> bool:
+    """Whether two work items may share one kernel call.
+
+    Same kernel name, the same bound callable (a method of the same
+    table or application object — a FIB swap between two chunks keeps
+    them apart), and each carrying one per-item argument.
+    """
+    return (
+        len(a.args) == 1
+        and len(b.args) == 1
+        and a.spec.fn is not None
+        and a.spec.name == b.spec.name
+        and a.spec.fn == b.spec.fn
+    )
+
+
+def run_fused(works: Sequence[GPUWorkItem]) -> list:
+    """Enter the kernel body once for a run of mutually fusable work
+    items (each carrying its callable); returns each item's output,
+    scattered by its offset.
+
+    The per-item arguments are concatenated in order (``np.concatenate``
+    for arrays, list concatenation otherwise), so by the kernel contract
+    on :class:`RouterApplication` every item gets exactly what its own
+    call would have produced.  A run of one is a plain ``fn(*args)``.
+    """
+    first = works[0]
+    if len(works) == 1:
+        return [first.spec.fn(*first.args)]
+    parts = [work.args[0] for work in works]
+    if isinstance(parts[0], np.ndarray):
+        gathered = np.concatenate(parts)
+    else:
+        gathered = [item for part in parts for item in part]
+    out = first.spec.fn(gathered)
+    if len(out) != len(gathered):
+        raise ValueError(
+            f"kernel {first.spec.name!r} broke its contract: "
+            f"{len(gathered)} items in, {len(out)} out"
+        )
+    outputs, start = [], 0
+    for part in parts:
+        outputs.append(out[start:start + len(part)])
+        start += len(part)
+    return outputs
+
+
 class RouterApplication(abc.ABC):
-    """Base class for PacketShader applications."""
+    """Base class for PacketShader applications.
+
+    **The kernel contract.**  The callable a work item carries
+    (``spec.fn``, also what :meth:`kernel_fn` returns) takes one
+    per-item sequence and returns one per-item sequence:
+
+    * ``len(fn(a)) == len(a)`` — one result per gathered item, ``None``
+      (or the kernel's own "not gathered" value) where the item is a
+      hole;
+    * ``fn(a ⧺ b) == fn(a) ⧺ fn(b)``, *side effects included and in
+      order* — ESP sequence numbers are handed out in gather order, the
+      anti-replay window sees packets in gather order.
+
+    That is what lets the master run one kernel call for everything it
+    gathered and scatter the result by chunk offsets (Section 5.4,
+    :func:`run_fused`) with no per-application concatenation hook.  A
+    kernel that takes no input (``args == ()``, the composite's marker)
+    is outside the contract and is launched on its own.
+    """
 
     #: Short name used in reports ("ipv4", "ipsec", ...).
     name: str = "app"

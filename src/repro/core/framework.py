@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.calib.constants import CPU, FRAMEWORK
-from repro.core.application import RouterApplication
+from repro.core.application import RouterApplication, fusable, run_fused
 from repro.core.chunk import Chunk
 from repro.core.config import RouterConfig
 from repro.core.overload import OverloadController
@@ -61,6 +61,10 @@ class RouterStats:
     slow_path: int = 0
     chunks: int = 0
     gpu_launches: int = 0
+    #: Real entries into a kernel body by the master step: one per run
+    #: of gathered chunks that share a kernel, however many modelled
+    #: launches (``gpu_launches``) those chunks were charged.
+    kernel_calls: int = 0
     gathered_chunks: int = 0
     #: Failed launches retried (transient faults absorbed by backoff).
     gpu_retries: int = 0
@@ -170,6 +174,10 @@ class PacketShader:
         self._m_gpu_launches = registry.counter(
             names.ROUTER_GPU_LAUNCHES, help="GPU kernel launches by masters"
         )
+        self._m_kernel_calls = registry.counter(
+            names.ROUTER_KERNEL_CALLS,
+            help="real kernel-body entries by masters (one per fused gather)",
+        )
         self._m_gathered = registry.counter(
             names.ROUTER_GATHERED_CHUNKS, help="chunks gathered by masters"
         )
@@ -275,7 +283,13 @@ class PacketShader:
     # ------------------------------------------------------------------
 
     def _shade_node(self, node: _Node) -> None:
-        """Run the node's master: gather, launch, scatter (Section 5.4)."""
+        """Run the node's master: gather, launch, scatter (Section 5.4).
+
+        Gathers up to ``effective_gather_chunks()`` chunks off the input
+        queue, hands the whole gather to :meth:`shade_batch` — the one
+        master step — and scatters each chunk to its worker's output
+        queue in arrival order.
+        """
         gather = self.config.effective_gather_chunks()
         while len(node.input_queue):
             chunks = node.input_queue.get_batch(gather)
@@ -286,8 +300,8 @@ class PacketShader:
                 packets=sum(len(c) for c in chunks),
                 cycles=FRAMEWORK.queue_handoff_cycles * len(chunks),
             )
+            self.shade_batch(chunks, node)
             for chunk in chunks:
-                self.shade_chunk(chunk, node)
                 worker = node.workers[
                     chunk.worker_id - node.workers[0].worker_id
                 ]
@@ -298,39 +312,97 @@ class PacketShader:
                     cycles=FRAMEWORK.queue_handoff_cycles,
                 )
 
-    def shade_chunk(self, chunk: Chunk, node: Optional[_Node] = None) -> None:
-        """The master step for one gathered chunk: launch its GPU work,
-        absorbing faults (Section 5.4 + the degradation ladder: retry
-        with backoff -> breaker -> CPU).
+    def shade_batch(
+        self, chunks: List[Chunk], node: Optional[_Node] = None
+    ) -> List[bool]:
+        """The master step for everything gathered: charge each chunk's
+        modelled launch, enter the kernel body once, scatter the result
+        by chunk offsets (Section 5.4 gather/scatter).
 
-        The one launch site of both masters: :meth:`_shade_node` loops
-        over it in process, and the forked plane's master process calls
-        it on its own router (docs/SHARDING.md).  A chunk whose
-        pre-shading left no GPU work gets ``gpu_output = None``.
+        The one launch site of both masters: :meth:`_shade_node` calls
+        it in process, the forked plane's master process calls it on its
+        own router (docs/SHARDING.md).  Two clocks meet here and stay
+        apart:
+
+        * the *simulated* charge is per chunk, in chunk order
+          (:meth:`_charge_chunk`: fault sites, retry -> breaker -> CPU
+          ladder, ``gpu_launches``, ``service_ns``, one GPU span each) —
+          exactly what a master that launched chunk by chunk would be
+          charged;
+        * the *real* computation runs once per run of consecutive
+          chunks carrying the same kernel (:func:`fusable`), whichever
+          way each chunk was charged: a chunk that fell back to the CPU
+          gets its slice of the same call, never a second run (a second
+          ESP pass would consume sequence numbers twice).
+
+        A chunk whose pre-shading left no GPU work gets ``gpu_output =
+        None``.  Returns, per chunk, whether its launch was charged to
+        the device.
+        """
+        node = node or self.nodes[0]
+        on_device = [self._charge_chunk(chunk, node) for chunk in chunks]
+        run: List[Chunk] = []  # the chunks sharing the next kernel call
+        run_on_device = False
+        for chunk, charged in zip(chunks, on_device):
+            work = chunk.gpu_input
+            if work is None:
+                # Runs no kernel, so it cannot reorder one: the run
+                # carries on across it.
+                chunk.gpu_output = None
+                continue
+            if run and not fusable(run[-1].gpu_input, work):
+                self._run_kernel(run, run_on_device)
+                run, run_on_device = [], False
+            run.append(chunk)
+            run_on_device |= charged
+        if run:
+            self._run_kernel(run, run_on_device)
+        return on_device
+
+    def _run_kernel(self, run: List[Chunk], on_device: bool) -> None:
+        """One real kernel-body entry for a run of fusable chunks, on
+        the device's wall-clock stage unless every one of them fell back
+        to the CPU."""
+        works = [chunk.gpu_input for chunk in run]
+        if works[0].spec.fn is None:
+            # A cost-only work item (always a run of one): nothing to run.
+            run[0].gpu_output = None
+            return
+        stage = Stages.GPU if on_device else Stages.GPU_FALLBACK
+        with self.profiler.track(stage):
+            outputs = run_fused(works)
+        self.stats.kernel_calls += 1
+        self._m_kernel_calls.inc()
+        for chunk, output in zip(run, outputs):
+            chunk.gpu_output = output
+
+    def _charge_chunk(self, chunk: Chunk, node: _Node) -> bool:
+        """Charge one gathered chunk's modelled launch, absorbing faults
+        (the degradation ladder: retry with backoff -> breaker -> CPU).
 
         Transient launch failures are retried up to the policy's budget
         with exponential backoff (charged as modelled wait time).  A
         launch that fails past the budget counts against the node's
-        circuit breaker and the chunk is shaded on the master's CPU
-        instead — the already pre-shaded work cannot be re-classified
-        (TTLs are already decremented), so the fallback runs the kernel
-        function itself on the host.
+        circuit breaker and the chunk is charged as shaded on the
+        master's CPU instead — the already pre-shaded work cannot be
+        re-classified (TTLs are already decremented), so the fallback is
+        the kernel function itself on the host.  True when the device
+        took the launch; the kernel body is :meth:`shade_batch`'s.
         """
-        node = node or self.nodes[0]
         work = chunk.gpu_input
         if work is None:
-            chunk.gpu_output = None
-            return
+            return False
         breaker = self.breakers[node.node_id]
         if breaker.is_open:
             # The breaker opened while this chunk sat in the input queue:
             # don't even try the device.
-            self._shade_on_cpu(chunk, work)
-            return
+            self._charge_cpu_fallback(chunk)
+            return False
         policy = self.retry_policy
         for attempt in range(policy.max_retries + 1):
             try:
-                result = work.launch_on(node.gpu)
+                result = work.charge_on(node.gpu)
+                break
             except (GPULaunchError, DMAError):
                 if attempt < policy.max_retries:
                     self.stats.gpu_retries += 1
@@ -352,34 +424,29 @@ class PacketShader:
                 self.stats.gpu_failures += 1
                 self._m_gpu_failures.inc()
                 breaker.record_failure()
-                self._shade_on_cpu(chunk, work)
-                return
-            breaker.record_success()
-            self.stats.gpu_launches += 1
-            self._m_gpu_launches.inc()
-            chunk.gpu_output = result.output
-            chunk.service_ns += result.total_ns
-            self.tracer.record(
-                Stages.GPU,
-                packets=len(chunk),
-                ns=result.total_ns,
-                kernel=result.kernel,
-            )
-            return
+                self._charge_cpu_fallback(chunk)
+                return False
+        breaker.record_success()
+        self.stats.gpu_launches += 1
+        self._m_gpu_launches.inc()
+        chunk.service_ns += result.total_ns
+        self.tracer.record(
+            Stages.GPU,
+            packets=len(chunk),
+            ns=result.total_ns,
+            kernel=result.kernel,
+        )
+        return True
 
-    def _shade_on_cpu(self, chunk: Chunk, work) -> None:
-        """Master-side CPU fallback for a chunk whose GPU path failed.
+    def _charge_cpu_fallback(self, chunk: Chunk) -> None:
+        """Charge a chunk whose GPU path failed as shaded on the
+        master's CPU.
 
-        Runs the kernel function on the host, producing bit-identical
-        output (the kernels are the same Python callables the device
-        model executes).  The extra CPU cost relative to the worker-side
-        shading already charged is the CPU-only application cost minus
-        the worker-side share.
+        The output is bit-identical (the kernels are the same Python
+        callables the device model executes).  The extra CPU cost
+        relative to the worker-side shading already charged is the
+        CPU-only application cost minus the worker-side share.
         """
-        with self.profiler.track(Stages.GPU_FALLBACK):
-            chunk.gpu_output = (
-                work.spec.fn(*work.args) if work.spec.fn is not None else None
-            )
         self.stats.degraded_chunks += 1
         self._m_degraded_chunks.inc()
         self.flightrec.note(Events.GPU_FALLBACK, "", len(chunk))

@@ -221,24 +221,36 @@ class GPUDevice:
         this batch (e.g. 4 B per packet of IPv4 destination addresses in,
         4 B of next hops out — the Section 5.3 workflow).  If ``spec.fn``
         is set it is invoked as ``fn(*args)`` and its return value becomes
-        ``result.output`` — that is the *real* computation.
+        ``result.output`` — that is the *real* computation.  A launch is
+        :meth:`charge` followed by the kernel body; a failed charge
+        raises before the body runs.
         """
-        if n_threads < 0 or bytes_in < 0 or bytes_out < 0:
-            raise ValueError("launch sizes must be non-negative")
         with self._profiler.track(Stages.GPU):
-            return self._launch(
-                spec, n_threads, bytes_in, bytes_out, args, include_sync
+            result = self.charge(
+                spec, n_threads, bytes_in, bytes_out, include_sync
             )
+            if spec.fn is not None:
+                result.output = spec.fn(*args)
+            return result
 
-    def _launch(
+    def charge(
         self,
         spec: KernelSpec,
         n_threads: int,
         bytes_in: int,
         bytes_out: int,
-        args: tuple,
-        include_sync: bool,
+        include_sync: bool = True,
     ) -> LaunchResult:
+        """The modelled half of a launch: consult the fault sites, time
+        the transfers and the kernel, and count the device busy — without
+        running ``spec.fn``.
+
+        The router's master step charges each gathered chunk here and
+        runs the kernel body once for the whole gather
+        (:meth:`repro.core.framework.PacketShader.shade_batch`).
+        """
+        if n_threads < 0 or bytes_in < 0 or bytes_out < 0:
+            raise ValueError("launch sizes must be non-negative")
         if self.fault_injector is not None:
             if self.fault_injector.should_fire(Sites.GPU_TIMEOUT):
                 # A straggler holds the device until the watchdog budget
@@ -263,7 +275,6 @@ class GPUDevice:
         exec_ns = self.execution_time_ns(spec, n_threads)
         d2h_ns = self.pcie.transfer_d2h(bytes_out) if bytes_out else 0.0
         sync_ns = self.model.sync_overhead_ns if include_sync else 0.0
-        output = spec.fn(*args) if spec.fn is not None else None
         result = LaunchResult(
             kernel=spec.name,
             n_threads=n_threads,
@@ -272,7 +283,6 @@ class GPUDevice:
             exec_ns=exec_ns,
             d2h_ns=d2h_ns,
             sync_ns=sync_ns,
-            output=output,
         )
         self.busy_ns += result.total_ns
         self.launches += 1

@@ -38,6 +38,7 @@ ROUTER_SLOW_PATH_PACKETS = "router.slow_path_packets"
 ROUTER_CHUNKS = "router.chunks"
 ROUTER_CHUNK_SIZE = "router.chunk_size"
 ROUTER_GPU_LAUNCHES = "router.gpu_launches"
+ROUTER_KERNEL_CALLS = "router.kernel_calls"
 ROUTER_GATHERED_CHUNKS = "router.gathered_chunks"
 ROUTER_GPU_RETRIES = "router.gpu_retries"
 ROUTER_GPU_FAILURES = "router.gpu_failures"

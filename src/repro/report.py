@@ -184,7 +184,8 @@ def trace_main(argv=None) -> int:
     stats = router.stats
     print(f"traced {args.app} run ({mode}): {stats.received} packets in, "
           f"{stats.forwarded} forwarded, {stats.dropped} dropped, "
-          f"{stats.slow_path} slow-path, {stats.gpu_launches} GPU launches")
+          f"{stats.slow_path} slow-path, {stats.gpu_launches} GPU launches, "
+          f"{stats.kernel_calls} kernel calls")
     print()
     summary = get_tracer().summary()
     print(stage_table(summary, title=f"{args.app} per-stage cost breakdown"))

@@ -394,7 +394,11 @@ class ShardedDataPlane:
         Runs in the parent.  Gathering is opportunistic — one blocking
         get, then whatever else is already queued up to the configured
         gather width — so GPU batching adapts to load exactly like the
-        in-process master's ``get_batch``.
+        in-process master's ``get_batch``.  Each gather is rebound to
+        this process's tables and handed whole to
+        ``PacketShader.shade_batch``, the same master step the
+        in-process master runs: one kernel call for the gather, one
+        modelled launch per chunk.
         """
         # The master's own application instance plays the role of GPU
         # device memory: kernels arrive stripped of their callables
@@ -444,11 +448,8 @@ class ShardedDataPlane:
             for chunk in batch:
                 if chunk.gpu_input is not None:
                     app.bind_kernel(chunk.gpu_input)
-                launched = master.stats.gpu_launches
-                master.shade_chunk(chunk)
-                self.launches[chunk.worker_id] += (
-                    master.stats.gpu_launches - launched
-                )
+            for chunk, launched in zip(batch, master.shade_batch(batch)):
+                self.launches[chunk.worker_id] += launched
                 scatter_chunk(self.result_queues[chunk.worker_id], chunk)
 
     def collect(self) -> PlaneReport:

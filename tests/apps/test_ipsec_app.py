@@ -92,6 +92,36 @@ class TestDataPath:
             app.cpu_process(chunk)
         assert workload.sa.seq == 15
 
+    def test_exhausted_sa_stops_sending_and_the_gateway_keeps_running(self):
+        """RFC 4303 section 3.3.3: with too few sequence numbers left for
+        what the master gathered, nothing is sent on the SA, nothing is
+        consumed, and the burst is dropped and counted — not raised out
+        of ``process_frames``."""
+        from repro.core.framework import PacketShader
+
+        sa = ipsec_workload().sa
+        sa.seq = 2**32 - 101  # 100 numbers left, 256 packets offered
+        app = IPsecGateway(sa)
+        router = PacketShader(app)
+        egress = router.process_frames([
+            bytearray(build_udp_ipv4(
+                i + 1, i + 2, 3, 4, frame_len=1514 if i % 4 == 3 else 64
+            ))
+            for i in range(256)
+        ])
+        stats = router.stats
+        assert egress == {}
+        assert stats.received == 256
+        assert (stats.forwarded, stats.dropped, stats.slow_path) == (0, 256, 0)
+        assert sa.seq == 2**32 - 101
+        assert app.drop_reasons["seq-exhausted"] == 256
+        # The next, smaller burst fits and goes out.
+        egress = router.process_frames(
+            [bytearray(build_udp_ipv4(i + 1, i + 2, 3, 4)) for i in range(100)]
+        )
+        assert sum(len(frames) for frames in egress.values()) == 100
+        assert sa.seq == 2**32 - 1
+
 
 class TestCostHooks:
     def test_cpu_cost_scales_with_frame_size(self):

@@ -73,6 +73,7 @@ class TestConservation:
         assert registry.value("router.slow_path_packets") == stats.slow_path
         assert registry.value("router.chunks") == stats.chunks
         assert registry.value("router.gpu_launches") == stats.gpu_launches
+        assert registry.value("router.kernel_calls") == stats.kernel_calls
         assert registry.value("router.gathered_chunks") == stats.gathered_chunks
 
     def test_registry_conserves_packets(self, traced_run):
