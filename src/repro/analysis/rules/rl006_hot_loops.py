@@ -4,7 +4,7 @@ PacketShader's core lesson — and this reproduction's tentpole perf work
 — is that per-packet work must be amortized over batches.  The data
 plane carries packets structure-of-arrays (``FrameBatch`` buffers,
 ``Chunk`` disposition columns), so a Python ``for``/comprehension that
-iterates ``chunk.frames`` or ``chunk.verdicts`` inside ``apps/``,
+iterates ``chunk.frames`` or a ``verdicts`` list inside ``apps/``,
 ``core/``, or ``io_engine/`` is almost always a regression back to the
 scalar formulation the batch layer replaced: classification, checksum
 verification, verdict application, and egress splitting all have
@@ -37,7 +37,7 @@ def _batch_iterable(node: ast.AST) -> Optional[str]:
     """The frames/verdicts reference inside an iterable expression.
 
     Catches the raw attribute (``chunk.frames``), wrapped forms
-    (``zip(chunk.frames, chunk.verdicts)``, ``enumerate(...)``), and
+    (``zip(chunk.frames, verdicts)``, ``enumerate(...)``), and
     bare locals holding the frame list (``for f in frames``).
     """
     for sub in ast.walk(node):

@@ -10,7 +10,7 @@ drop-counter increment:
   with ``return False`` / ``continue`` / ``break`` must increment an
   accounting counter (``*drop*``, ``*shed*``, ``*reject*``,
   ``*discard*``);
-* a bare ``<verdict>.drop()`` statement in the infrastructure layers
+* a ``<chunk>.set_drop(...)`` statement in the infrastructure layers
   (core / io_engine / hw) must sit in a function that also updates such
   a counter.  Application shaders (``apps/``) are exempt: their verdict
   dispositions are conserved centrally by ``_finish_chunk``'s
@@ -41,7 +41,7 @@ ACCOUNT_RE = re.compile(r"drop|shed|reject|discard", re.IGNORECASE)
 #: Condition tokens that mark a load-shedding guard.
 GUARD_RE = re.compile(r"should_fire|overflow", re.IGNORECASE)
 
-#: Layers where a bare ``.drop()`` must be accounted.
+#: Layers where a ``.set_drop(...)`` must be accounted.
 INFRA_PARTS = frozenset({"core", "io_engine", "hw"})
 
 
@@ -157,16 +157,13 @@ class InterprocDropConservationRule(Rule):
     def _check_verdict_drops(
         self, sem, module, symbols, info, qualified: str, fn
     ) -> Iterable[Finding]:
-        if fn.name == "drop":
-            return  # the verdict primitive itself
         drop_calls = [
             node
             for node in function_body_walk(fn)
             if isinstance(node, ast.Expr)
             and isinstance(node.value, ast.Call)
             and isinstance(node.value.func, ast.Attribute)
-            and node.value.func.attr == "drop"
-            and not node.value.args
+            and node.value.func.attr == "set_drop"
         ]
         if not drop_calls:
             return
@@ -183,9 +180,9 @@ class InterprocDropConservationRule(Rule):
         for call in drop_calls:
             yield module.finding(
                 self.rule_id, call.lineno,
-                f"verdict .drop() in infrastructure function '{fn.name}' "
-                "without drop accounting in the function, its callees, or "
-                "its callers",
+                f"verdict .set_drop() in infrastructure function "
+                f"'{fn.name}' without drop accounting in the function, its "
+                "callees, or its callers",
                 hint="mirror the drop into a counter (stats and registry) "
                      "next to the verdict, as _shed_chunk does",
             )

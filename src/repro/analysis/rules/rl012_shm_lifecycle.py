@@ -1,16 +1,16 @@
-"""RL012: shared-memory segments go through the managed helpers.
+"""RL012: shared-memory segments go through the managed primitive.
 
 ``multiprocessing.shared_memory.SharedMemory`` is the one POSIX-level
 resource in the tree that outlives the process that forgot about it: a
 segment without a paired ``close()``/``unlink()`` leaks ``/dev/shm``
 space until reboot, and the interpreter's resource tracker emits noisy
 (and racy) cleanup warnings at exit.  The repo therefore funnels every
-segment through two managed owners — :class:`repro.obs.shm.MetricSlab`
-for metric slabs and :class:`repro.shard.pool.ShmChunkPool` for
-chunk-payload pools — which pair the lifecycle calls, untrack
-attach-side handles, and survive double-close.
+segment through one managed primitive — :class:`repro.shm.Segment` —
+which pairs the lifecycle calls, untracks attach-side handles, keeps
+``unlink()`` owner-only and survives double-close; ``MetricSlab`` and
+``ShmChunkPool`` are its users, linted like everyone else.
 
-RL012 enforces the funnel.  Outside those two modules it flags:
+RL012 enforces the funnel.  Outside that module it flags:
 
 * any bare ``SharedMemory(...)`` construction or attach, however the
   class was imported (module alias, ``from ... import SharedMemory``,
@@ -31,14 +31,14 @@ from repro.analysis.astutil import dotted_name
 from repro.analysis.findings import Finding
 from repro.analysis.rules import Rule, register
 
-#: Trailing path components of the two sanctioned segment owners.
-SHM_MANAGED_TAILS = (("obs", "shm"), ("shard", "pool"))
+#: Trailing path components of the sanctioned segment primitive.
+SHM_MANAGED_TAILS = (("repro", "shm"),)
 
 _HINT = (
-    "go through a managed owner — MetricSlab (repro.obs.shm) for metric "
-    "slabs, ShmChunkPool (repro.shard.pool) for chunk payloads; both pair "
-    "close()/unlink() and handle resource-tracker bookkeeping "
-    "(docs/SHARDING.md)"
+    "go through the managed primitive — Segment (repro.shm), or its users "
+    "MetricSlab (repro.obs.shm) for metric slabs and ShmChunkPool "
+    "(repro.shard.pool) for chunk payloads; it pairs close()/unlink() and "
+    "handles resource-tracker bookkeeping (docs/SHARDING.md)"
 )
 
 
@@ -140,7 +140,7 @@ class ShmLifecycleRule(Rule):
                 yield module.finding(
                     self.rule_id, node.lineno,
                     f"bare SharedMemory(...) call {verb} a segment "
-                    "outside the managed owners",
+                    "outside the managed primitive",
                     hint=_HINT,
                 )
             if not calls:

@@ -180,13 +180,12 @@ class IPv4Forwarder(RouterApplication):
             chunk.set_forward(routed, hops[routed])
             return
         frames = chunk.frames
-        verdicts = chunk.verdicts
         for index in routed.tolist():
             port = self.neighbors.rewrite(frames[index], int(hops[index]))
             if port is None:
-                verdicts[index].slow_path()  # awaiting ARP
+                chunk.set_slow_path(index)  # awaiting ARP
             else:
-                verdicts[index].forward_to(port)
+                chunk.set_forward(index, port)
 
     # ------------------------------------------------------------------
     # The three callbacks.

@@ -123,21 +123,20 @@ class IPv6Forwarder(RouterApplication):
         pending: Optional[np.ndarray] = None,
     ) -> None:
         mask = chunk.pending_mask() if pending is None else pending
-        verdicts = chunk.verdicts
         frames = chunk.frames
         neighbors = self.neighbors
         for index in np.flatnonzero(mask).tolist():
             next_hop = next_hops[index]
             if next_hop is None:
-                verdicts[index].drop()
+                chunk.set_drop(index)
             elif neighbors is None:
-                verdicts[index].forward_to(next_hop)
+                chunk.set_forward(index, next_hop)
             else:
                 port = neighbors.rewrite(frames[index], next_hop)
                 if port is None:
-                    verdicts[index].slow_path()  # awaiting ND
+                    chunk.set_slow_path(index)  # awaiting ND
                 else:
-                    verdicts[index].forward_to(port)
+                    chunk.set_forward(index, port)
 
     def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
         dsts, pending = self._classify(chunk)

@@ -75,7 +75,7 @@ class OpenFlowApp(RouterApplication):
             key = keys[index]
             result = classifications[index]
             if key is None or result is None:
-                chunk.verdicts[index].drop()
+                chunk.set_drop(index)
                 continue
             key_hash, wildcard_entry = result
             frame = chunk.frames[index]
@@ -91,16 +91,16 @@ class OpenFlowApp(RouterApplication):
             else:
                 self.switch.counters.misses += 1
                 self.switch.controller_queue.append((key, bytes(frame)))
-                chunk.verdicts[index].slow_path()
+                chunk.set_slow_path(index)
                 continue
             _, outputs = apply_actions(frame, actions)
             if outputs and outputs[0] != PORT_CONTROLLER:
-                chunk.verdicts[index].forward_to(outputs[0])
+                chunk.set_forward(index, outputs[0])
             elif outputs:
                 self.switch.controller_queue.append((key, bytes(frame)))
-                chunk.verdicts[index].slow_path()
+                chunk.set_slow_path(index)
             else:
-                chunk.verdicts[index].drop()
+                chunk.set_drop(index)
 
     def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
         keys = self._extract_keys(chunk)

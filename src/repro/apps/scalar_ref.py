@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.chunk import Chunk
+from repro.core.chunk import FORWARD_CODE, Chunk
 from repro.lookup.dir24_8 import NO_ROUTE
 from repro.net.checksum import verify_checksum16
 from repro.net.ethernet import (
@@ -43,36 +43,34 @@ def classify_ipv4_scalar(
 ) -> np.ndarray:
     """The original per-packet IPv4 classification loop."""
     dsts = np.zeros(len(chunk), dtype=np.uint32)
-    for index, (frame, verdict) in enumerate(  # reprolint: ignore[RL006]
-        zip(chunk.frames, chunk.verdicts)
-    ):
+    for index, frame in enumerate(chunk.frames):  # reprolint: ignore[RL006]
         l3 = ETHERNET_HEADER_LEN
         if len(frame) < l3 + IPV4_HEADER_LEN:
-            verdict.drop()
+            chunk.set_drop(index)
             reasons["malformed"] += 1
             continue
         ethertype = (frame[12] << 8) | frame[13]
         if ethertype != ETHERTYPE_IPV4:
-            verdict.slow_path()
+            chunk.set_slow_path(index)
             reasons["non-ip"] += 1
             continue
         if frame[l3] != 0x45:  # version 4, no options
-            verdict.drop()
+            chunk.set_drop(index)
             reasons["malformed"] += 1
             continue
         if verify_checksums and not verify_checksum16(
             bytes(frame[l3:l3 + IPV4_HEADER_LEN])
         ):
-            verdict.drop()
+            chunk.set_drop(index)
             reasons["bad-checksum"] += 1
             continue
         dst = extract_dst(frame, l3)
         if dst in local_addresses:
-            verdict.slow_path()
+            chunk.set_slow_path(index)
             reasons["local"] += 1
             continue
         if not decrement_ttl(frame, l3):
-            verdict.slow_path()
+            chunk.set_slow_path(index)
             reasons["ttl-expired"] += 1
             continue
         dsts[index] = dst
@@ -88,15 +86,15 @@ def apply_next_hops_ipv4_scalar(
     for index in chunk.pending_indices():
         next_hop = int(next_hops[index])
         if next_hop == NO_ROUTE:
-            chunk.verdicts[index].drop()
+            chunk.set_drop(index)
         elif neighbors is None:
-            chunk.verdicts[index].forward_to(next_hop)
+            chunk.set_forward(index, next_hop)
         else:
             port = neighbors.rewrite(chunk.frames[index], next_hop)
             if port is None:
-                chunk.verdicts[index].slow_path()  # awaiting ARP
+                chunk.set_slow_path(index)  # awaiting ARP
             else:
-                chunk.verdicts[index].forward_to(port)
+                chunk.set_forward(index, port)
 
 
 def classify_ipv6_scalar(
@@ -106,30 +104,28 @@ def classify_ipv6_scalar(
 ) -> List[int]:
     """The original per-packet IPv6 classification loop."""
     dsts = [0] * len(chunk)
-    for index, (frame, verdict) in enumerate(  # reprolint: ignore[RL006]
-        zip(chunk.frames, chunk.verdicts)
-    ):
+    for index, frame in enumerate(chunk.frames):  # reprolint: ignore[RL006]
         l3 = ETHERNET_HEADER_LEN
         if len(frame) < l3 + IPV6_HEADER_LEN:
-            verdict.drop()
+            chunk.set_drop(index)
             reasons["malformed"] += 1
             continue
         ethertype = (frame[12] << 8) | frame[13]
         if ethertype != ETHERTYPE_IPV6:
-            verdict.slow_path()
+            chunk.set_slow_path(index)
             reasons["non-ip"] += 1
             continue
         if frame[l3] >> 4 != 6:
-            verdict.drop()
+            chunk.set_drop(index)
             reasons["malformed"] += 1
             continue
         dst = extract_dst_v6(frame, l3)
         if dst in local_addresses:
-            verdict.slow_path()
+            chunk.set_slow_path(index)
             reasons["local"] += 1
             continue
         if not decrement_hop_limit(frame, l3):
-            verdict.slow_path()
+            chunk.set_slow_path(index)
             reasons["hop-limit"] += 1
             continue
         dsts[index] = dst
@@ -138,12 +134,10 @@ def classify_ipv6_scalar(
 
 def split_by_port_scalar(chunk: Chunk) -> dict:
     """The original per-packet egress-distribution loop."""
-    from repro.core.chunk import Disposition
-
     by_port: dict = {}
-    for frame, verdict in zip(  # reprolint: ignore[RL006]
-        chunk.frames, chunk.verdicts
+    for frame, code, port in zip(  # reprolint: ignore[RL006]
+        chunk.frames, chunk.dispositions.tolist(), chunk.out_ports.tolist()
     ):
-        if verdict.disposition is Disposition.FORWARD:
-            by_port.setdefault(verdict.out_port, []).append(frame)
+        if code == FORWARD_CODE:
+            by_port.setdefault(port, []).append(frame)
     return by_port

@@ -24,7 +24,7 @@ Modules:
 """
 
 from repro.core.config import RouterConfig, ThreadRole
-from repro.core.chunk import Chunk, PacketVerdict, Disposition
+from repro.core.chunk import Chunk, Disposition
 from repro.core.queues import MasterInputQueue, WorkerOutputQueue
 from repro.core.application import RouterApplication, GPUWorkItem
 from repro.core.framework import PacketShader, RouterStats
@@ -44,7 +44,6 @@ __all__ = [
     "GPUWorkItem",
     "MasterInputQueue",
     "PacketShader",
-    "PacketVerdict",
     "RouterApplication",
     "RouterConfig",
     "RouterStats",

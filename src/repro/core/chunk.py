@@ -12,19 +12,20 @@ checksum — Section 6.2.1's classification).
 Verdicts are stored structure-of-arrays: one ``uint8`` disposition
 column and one ``int32`` out-port column, so the data plane classifies,
 counts, and splits whole chunks with numpy masks instead of per-packet
-Python loops (the same batching lesson the paper applies to packet I/O).
-The per-packet :class:`PacketVerdict` API survives as a thin view over
-those columns for callers that still think packet-at-a-time.
+Python loops (the same batching lesson the paper applies to packet I/O).  The
+columns *are* the verdicts — no per-packet object stands beside them
+(Section 4.2's argument against the skb): the setters take an index
+array, a boolean mask or one scalar index.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.net.frames import FrameBatch, pack_frames
+from repro.net.frames import FrameBatch, frame_extents, pack_frames
 
 
 class Disposition(enum.Enum):
@@ -43,13 +44,6 @@ _CODES: Dict[Disposition, int] = {
     Disposition.DROP: 2,
     Disposition.SLOW_PATH: 3,
 }
-_DISPOSITIONS: Tuple[Disposition, ...] = (
-    Disposition.PENDING,
-    Disposition.FORWARD,
-    Disposition.DROP,
-    Disposition.SLOW_PATH,
-)
-
 PENDING_CODE = _CODES[Disposition.PENDING]
 FORWARD_CODE = _CODES[Disposition.FORWARD]
 DROP_CODE = _CODES[Disposition.DROP]
@@ -58,109 +52,7 @@ SLOW_PATH_CODE = _CODES[Disposition.SLOW_PATH]
 #: ``out_ports`` sentinel for "no port assigned".
 NO_PORT = -1
 
-IndexLike = Union[np.ndarray, Sequence[int]]
-
-
-class PacketVerdict:
-    """Per-packet processing outcome.
-
-    Standalone instances hold their own state (legacy constructions and
-    tests); instances handed out by :attr:`Chunk.verdicts` are *views*
-    bound to the chunk's disposition/out-port columns, so per-packet
-    mutations and batch numpy updates see the same storage.
-    """
-
-    __slots__ = ("_chunk", "_index", "_disposition", "_out_port")
-
-    def __init__(
-        self,
-        disposition: Disposition = Disposition.PENDING,
-        out_port: Optional[int] = None,
-    ) -> None:
-        self._chunk: Optional["Chunk"] = None
-        self._index = 0
-        self._disposition = disposition
-        self._out_port = out_port
-
-    @classmethod
-    def _bound(cls, chunk: "Chunk", index: int) -> "PacketVerdict":
-        verdict = cls.__new__(cls)
-        verdict._chunk = chunk
-        verdict._index = index
-        verdict._disposition = Disposition.PENDING
-        verdict._out_port = None
-        return verdict
-
-    @property
-    def disposition(self) -> Disposition:
-        if self._chunk is not None:
-            return _DISPOSITIONS[self._chunk.dispositions[self._index]]
-        return self._disposition
-
-    @disposition.setter
-    def disposition(self, value: Disposition) -> None:
-        if self._chunk is not None:
-            self._chunk.dispositions[self._index] = _CODES[value]
-        else:
-            self._disposition = value
-
-    @property
-    def out_port(self) -> Optional[int]:
-        if self._chunk is not None:
-            port = int(self._chunk.out_ports[self._index])
-            return None if port == NO_PORT else port
-        return self._out_port
-
-    @out_port.setter
-    def out_port(self, value: Optional[int]) -> None:
-        if self._chunk is not None:
-            self._chunk.out_ports[self._index] = (
-                NO_PORT if value is None else value
-            )
-        else:
-            self._out_port = value
-
-    def forward_to(self, port: int) -> None:
-        self.disposition = Disposition.FORWARD
-        self.out_port = port
-
-    def drop(self) -> None:
-        self.disposition = Disposition.DROP
-        self.out_port = None
-
-    def slow_path(self) -> None:
-        self.disposition = Disposition.SLOW_PATH
-        self.out_port = None
-
-    def __repr__(self) -> str:
-        return (
-            f"PacketVerdict(disposition={self.disposition!r}, "
-            f"out_port={self.out_port!r})"
-        )
-
-
-class VerdictColumn:
-    """Sequence view presenting the SoA columns as per-packet verdicts."""
-
-    __slots__ = ("_chunk",)
-
-    def __init__(self, chunk: "Chunk") -> None:
-        self._chunk = chunk
-
-    def __len__(self) -> int:
-        return len(self._chunk.dispositions)
-
-    def __getitem__(self, index: int) -> PacketVerdict:
-        length = len(self)
-        if index < 0:
-            index += length
-        if not 0 <= index < length:
-            raise IndexError("verdict index out of range")
-        return PacketVerdict._bound(self._chunk, index)
-
-    def __iter__(self) -> Iterator[PacketVerdict]:
-        for index in range(len(self)):
-            yield PacketVerdict._bound(self._chunk, index)
+IndexLike = Union[np.ndarray, Sequence[int], int]
 
 
 class Chunk:
@@ -194,7 +86,6 @@ class Chunk:
         worker_id: int = 0,
         in_port: int = 0,
         queue_id: int = 0,
-        verdicts: Optional[Sequence[PacketVerdict]] = None,
         gpu_input: object = None,
         gpu_output: object = None,
         app_state: object = None,
@@ -210,17 +101,7 @@ class Chunk:
         #: With ``store_into`` the pack lands in the caller's buffer
         #: (a shared-memory chunk-pool slot) instead of a fresh
         #: bytearray — the RX edge is then the chunk's only byte copy.
-        store, offsets, lengths = pack_frames(frames, out=store_into)
-        view = memoryview(store)
-        self.frames: List[memoryview] = [
-            view[offset:offset + length]
-            for offset, length in zip(offsets.tolist(), lengths.tolist())
-        ]
-        self._frame_store = store
-        self._offsets = offsets
-        self._lengths = lengths
-        self._packed = True
-        self._batch: Optional[FrameBatch] = None
+        self._bind_store(*pack_frames(frames, out=store_into))
         #: Shared-memory descriptor when the store is a chunk-pool slot
         #: (:mod:`repro.shard.pool` binds it); None for heap-backed
         #: chunks.
@@ -255,18 +136,24 @@ class Chunk:
         #: completion event so a merged cross-process stream can link a
         #: verdict back to its ingress.  ``None`` until stamped.
         self.trace_ctx: Optional[Tuple[int, int]] = None
-        if verdicts is not None:
-            if len(verdicts) != len(frames):
-                raise ValueError("verdicts must parallel frames")
-            # Legacy-constructor edge conversion, not a data-plane loop.
-            for index, verdict in enumerate(verdicts):  # reprolint: ignore[RL006]
-                self.dispositions[index] = _CODES[verdict.disposition]
-                self.out_ports[index] = (
-                    NO_PORT if verdict.out_port is None else verdict.out_port
-                )
 
     def __len__(self) -> int:
         return len(self.frames)
+
+    def _bind_store(self, store, offsets, lengths) -> None:
+        """Adopt ``store`` as the packed backing buffer: the one place
+        ``frames`` is sliced out of a store (construction, unpickling,
+        repacking)."""
+        self._frame_store = store
+        self._offsets = offsets
+        self._lengths = lengths
+        view = memoryview(self._frame_store)
+        self.frames = [
+            view[offset:offset + length]
+            for offset, length in zip(offsets.tolist(), lengths.tolist())
+        ]
+        self._packed = True
+        self._batch = None
 
     # ------------------------------------------------------------------
     # Process-boundary serialization.
@@ -275,72 +162,47 @@ class Chunk:
     def __getstate__(self) -> dict:
         """Pickle the chunk for a process-boundary queue handoff.
 
-        Three wire forms, cheapest first:
+        Two wire forms, and either way the chunk arrives packed:
 
-        * **shm descriptor** — the store is a chunk-pool slot: only the
-          :class:`~repro.shard.pool.ChunkShmRef` travels (plus the
+        * **shm descriptor** — the store is a live chunk-pool slot: only
+          the :class:`~repro.shard.pool.ChunkShmRef` travels (plus the
           offset/length columns); the frame bytes are never copied.
-        * **owned bytes** — heap-backed packed chunks ship the store as
-          one ``bytes`` blob (the pre-shard fallback path).
-        * **loose frames** — ``replace_frame()`` detached some frames;
-          each ships individually and the chunk stays unpacked.
+        * **owned bytes** — one ``bytes`` blob: the store while packed,
+          the live frames joined (extents recomputed) once
+          ``replace_frame()`` detached some.
+
+        Only reads the chunk — ``mp.Queue`` pickles on a feeder thread.
         """
         state = {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot not in ("frames", "_frame_store", "_batch")
+            if slot not in ("frames", "_frame_store", "_batch", "_packed")
         }
         if self._shm is not None and self._packed:
-            # Zero-copy: the descriptor already in state["_shm"] names
-            # the packed bytes; nothing else to ship.
             state["_store_bytes"] = None
-            state["_loose_frames"] = None
         elif self._packed:
             state["_shm"] = None
             state["_store_bytes"] = bytes(self._frame_store)
-            state["_loose_frames"] = None
         else:
-            # replace_frame() detached some frames from the store; ship
-            # each frame individually and stay unpacked on arrival.
-            # Serialization boundary, not a data-plane loop.
             state["_shm"] = None
-            state["_store_bytes"] = None
-            state["_loose_frames"] = [bytes(f) for f in self.frames]  # reprolint: ignore[RL006]
+            state["_store_bytes"] = b"".join(self.frames)
+            state["_offsets"], state["_lengths"] = frame_extents(self.frames)
         return state
 
     def __setstate__(self, state: dict) -> None:
         store_bytes = state.pop("_store_bytes")
-        loose = state.pop("_loose_frames")
         for slot, value in state.items():
             setattr(self, slot, value)
-        self._batch = None
         if self._shm is not None:
             # Map the descriptor back onto the shared slot: the rebuilt
             # frames alias the sender's bytes (validated by generation
             # and epoch, raising StaleChunkError on a recycled slot).
             from repro.shard.pool import resolve_ref
 
-            view = resolve_ref(self._shm)
-            self._frame_store = view
-            self.frames = [
-                view[offset:offset + length]
-                for offset, length in zip(
-                    self._offsets.tolist(), self._lengths.tolist()
-                )
-            ]
-        elif store_bytes is not None:
-            store = bytearray(store_bytes)
-            view = memoryview(store)
-            self._frame_store = store
-            self.frames = [
-                view[offset:offset + length]
-                for offset, length in zip(
-                    self._offsets.tolist(), self._lengths.tolist()
-                )
-            ]
+            store = resolve_ref(self._shm)
         else:
-            self._frame_store = bytearray()
-            self.frames = [bytearray(f) for f in loose]
+            store = bytearray(store_bytes)
+        self._bind_store(store, self._offsets, self._lengths)
 
     # ------------------------------------------------------------------
     # The structure-of-arrays view.
@@ -407,40 +269,21 @@ class Chunk:
         """Total packed bytes of the store (valid while packed)."""
         return int(self._lengths.sum()) if len(self._lengths) else 0
 
-    def repack_into(self, buffer: memoryview) -> int:
-        """Repack the live frames into ``buffer`` (a fresh pool slot).
+    def repack_into(self, buffer: Optional[memoryview]) -> None:
+        """Repack the live frames into ``buffer`` (a fresh pool slot),
+        or into a new heap store when ``buffer`` is None.
 
         The copy-on-grow escape: after ``replace_frame`` detached
         frames, one packing copy restores the SoA invariants against a
         caller-supplied store.  Offset/length columns are recomputed
-        (replacement frames may differ in size); returns the packed
-        byte count.  The caller re-binds the shm descriptor.
+        (replacement frames may differ in size).  The caller re-binds
+        the shm descriptor.
         """
-        store, offsets, lengths = pack_frames(self.frames, out=buffer)
-        view = memoryview(store)
-        self._frame_store = store
-        self._offsets = offsets
-        self._lengths = lengths
-        self.frames = [
-            view[offset:offset + length]
-            for offset, length in zip(offsets.tolist(), lengths.tolist())
-        ]
-        self._packed = True
-        self._batch = None
+        self._bind_store(*pack_frames(self.frames, out=buffer))
         self._shm = None
-        return self.packed_nbytes()
 
     # ------------------------------------------------------------------
-    # The per-packet compatibility view.
-    # ------------------------------------------------------------------
-
-    @property
-    def verdicts(self) -> VerdictColumn:
-        """Per-packet verdict views over the disposition/port columns."""
-        return VerdictColumn(self)
-
-    # ------------------------------------------------------------------
-    # Vectorized verdict updates (the data-plane fast path).
+    # Verdict updates (``where``: index array, boolean mask, one index).
     # ------------------------------------------------------------------
 
     def set_forward(self, where: IndexLike, ports) -> None:
@@ -470,12 +313,10 @@ class Chunk:
         """Packets diverted to the slow path, in FIFO order."""
         return np.flatnonzero(self.dispositions == SLOW_PATH_CODE).tolist()
 
-    def reopen_forwarded(self) -> List[int]:
-        """Reset FORWARD verdicts to PENDING; returns the reopened
-        indices (multi-stage composites re-offer forwarded packets)."""
-        mask = self.dispositions == FORWARD_CODE
-        self.dispositions[mask] = PENDING_CODE
-        return np.flatnonzero(mask).tolist()
+    def reopen_forwarded(self) -> None:
+        """Reset FORWARD verdicts to PENDING (multi-stage composites
+        re-offer forwarded packets to the next stage)."""
+        self.dispositions[self.dispositions == FORWARD_CODE] = PENDING_CODE
 
     def disposition_counts(self) -> Tuple[int, int, int]:
         """``(forwarded, dropped, slow_path)`` in one counting pass."""

@@ -17,7 +17,7 @@ either serialised (the paper's single-kernel limitation) or overlapped
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.application import GPUWorkItem, RouterApplication
 from repro.core.chunk import Chunk
@@ -63,12 +63,6 @@ class CompositeApplication(RouterApplication):
     # Functional path.
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _reopen_forwarded(chunk: Chunk) -> List[int]:
-        """Re-offer forwarded packets to the next stage; returns the
-        indices reopened (so failures can be distinguished later)."""
-        return chunk.reopen_forwarded()
-
     def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
         """Composite shading runs each stage's full pipeline inline.
 
@@ -107,7 +101,7 @@ class CompositeApplication(RouterApplication):
         forwarded packets."""
         for position, stage in enumerate(self.stages):
             if position > 0:
-                self._reopen_forwarded(chunk)
+                chunk.reopen_forwarded()
             stage.cpu_process(chunk)
 
     # ------------------------------------------------------------------

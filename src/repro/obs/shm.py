@@ -24,11 +24,14 @@ Concurrency model — single-writer, quiesced-read:
   written *before* the ``dir_used`` header word is bumped, so readers
   never observe a half-initialised entry.
 
+The segment's own life (publish, validate, untrack, owner-only unlink)
+is the :class:`repro.shm.Segment` base's.
+
 Slab layout (all little-endian, offsets in bytes)::
 
     [0,   128)  header: 16 x int64
-                (magic, version, writer_id, dir_capacity, dir_used,
-                 data_capacity, data_used, nbytes, 8 reserved)
+                (magic, version, tracker | writer_id, dir_capacity,
+                 dir_used, data_capacity, data_used, nbytes, 7 reserved)
     [128, 128 + dir_capacity*192)  directory, fixed 192-byte entries:
                 int32 key_len | uint8 kind | uint8 nbounds | pad |
                 int64 data_off | 176-byte key ("name|k=v|...")
@@ -49,7 +52,6 @@ from bisect import bisect_left
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from multiprocessing import shared_memory
 
 from repro.obs import names
 from repro.obs.registry import (
@@ -62,9 +64,10 @@ from repro.obs.registry import (
     _freeze_labels,
     get_registry,
 )
+from repro.shm import FIELDS_AT, Segment, SegmentLayout
 
 MAGIC = 0x5053_4C41_4231  # "PSLAB1" as the low 6 bytes
-VERSION = 1
+VERSION = 2
 
 KIND_COUNTER = 1
 KIND_GAUGE = 2
@@ -77,8 +80,8 @@ MAX_BOUNDS = 24
 
 _HEADER_WORDS = 16
 _HEADER_BYTES = _HEADER_WORDS * 8
-(_H_MAGIC, _H_VERSION, _H_WRITER, _H_DIR_CAP, _H_DIR_USED,
- _H_DATA_CAP, _H_DATA_USED, _H_NBYTES, _H_TRACKER) = range(9)
+(_H_WRITER, _H_DIR_CAP, _H_DIR_USED,
+ _H_DATA_CAP, _H_DATA_USED, _H_NBYTES) = range(FIELDS_AT, FIELDS_AT + 6)
 
 _DIR_DTYPE = np.dtype([
     ("key_len", "<i4"),
@@ -162,44 +165,6 @@ def decode_key(raw: bytes) -> Tuple[str, LabelPairs]:
     return name, tuple(labels)
 
 
-def _tracker_token() -> int:
-    """Identity of this process's resource-tracker daemon (0 if none).
-
-    The token is the inode of the tracker's command pipe: fork *and*
-    spawn children inherit the creator's pipe fd (same inode), while an
-    unrelated process gets its own daemon and pipe.  Pids don't work —
-    a spawn child shares the daemon without ever learning its pid.
-    """
-    try:
-        import os
-
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-        return int(os.fstat(resource_tracker._resource_tracker._fd).st_ino)
-    except Exception:
-        return 0
-
-
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Detach a segment from this process's resource tracker.
-
-    On Python < 3.13 the tracker registers shared memory on *attach*
-    too, so a foreign reader (own tracker daemon) exiting would unlink
-    the writer's live segment out from under everyone else.  Fleet
-    children share the creator's daemon and are skipped — see the
-    tracker-token check in :meth:`MetricSlab.attach`.  The creating
-    process keeps its registration and owns cleanup via
-    :meth:`MetricSlab.unlink`.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-
-
 class SlabEntry(NamedTuple):
     key: bytes
     kind: int
@@ -207,27 +172,17 @@ class SlabEntry(NamedTuple):
     data: np.ndarray
 
 
-class MetricSlab:
+class MetricSlab(Segment):
     """One writer process's metrics segment (see module docstring).
 
     Construct through :meth:`create` (the owning writer-side parent)
     or :meth:`attach` (readers and forked/spawned workers).
     """
 
-    def __init__(self, shm: shared_memory.SharedMemory, owner: bool) -> None:
-        self._shm = shm
-        self.owner = owner
-        self.name = shm.name
-        self._header = np.ndarray(
-            (_HEADER_WORDS,), dtype="<i8", buffer=shm.buf
-        )
-        if int(self._header[_H_MAGIC]) != MAGIC:
-            raise ValueError(f"segment {shm.name!r} is not a metrics slab")
-        if int(self._header[_H_VERSION]) != VERSION:
-            raise ValueError(
-                f"slab {shm.name!r}: layout version "
-                f"{int(self._header[_H_VERSION])} != {VERSION}"
-            )
+    LAYOUT = SegmentLayout("metrics slab", MAGIC, VERSION, _HEADER_WORDS)
+
+    def __init__(self, shm, owner: bool) -> None:
+        super().__init__(shm, owner)
         dir_cap = int(self._header[_H_DIR_CAP])
         data_cap = int(self._header[_H_DATA_CAP])
         self._dir = np.ndarray(
@@ -253,33 +208,15 @@ class MetricSlab:
         nbytes = (
             _HEADER_BYTES + dir_cap * _DIR_DTYPE.itemsize + data_cap * 8
         )
-        shm = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-        header = np.ndarray((_HEADER_WORDS,), dtype="<i8", buffer=shm.buf)
-        header[:] = 0
-        header[_H_VERSION] = VERSION
-        header[_H_WRITER] = writer_id
-        header[_H_DIR_CAP] = dir_cap
-        header[_H_DATA_CAP] = data_cap
-        header[_H_NBYTES] = nbytes
-        # Which tracker daemon holds the creator's registration: fleet
-        # children share it (their duplicate attach registration is a
-        # set no-op and must NOT be unregistered — the daemon keeps one
-        # entry per name), while a foreign reader has its own tracker
-        # that must be untracked on attach (see _untrack).
-        header[_H_TRACKER] = _tracker_token()
-        # Magic goes last: an attacher racing create sees not-a-slab,
-        # never a half-initialised header.
-        header[_H_MAGIC] = MAGIC
-        del header
+        shm = cls._create(name, nbytes, {
+            _H_WRITER: writer_id, _H_DIR_CAP: dir_cap,
+            _H_DATA_CAP: data_cap, _H_NBYTES: nbytes,
+        })
         return cls(shm, owner=True)
 
     @classmethod
     def attach(cls, name: str) -> "MetricSlab":
-        shm = shared_memory.SharedMemory(name=name)
-        slab = cls(shm, owner=False)
-        if _tracker_token() != int(slab._header[_H_TRACKER]):
-            _untrack(shm)
-        return slab
+        return cls(cls._attach(name), owner=False)
 
     @property
     def writer_id(self) -> int:
@@ -358,27 +295,9 @@ class MetricSlab:
             )
 
     def close(self) -> None:
-        """Drop this process's mapping (the segment itself survives).
-
-        Instrument views handed out by :meth:`allocate` may still be
-        alive in a worker that is about to exit; ``mmap`` refuses to
-        unmap under exported buffers, and the OS reclaims the mapping
-        at process exit anyway, so ``BufferError`` is absorbed.
-        """
-        self._header = self._dir = self._data = None
-        try:
-            self._shm.close()
-        except BufferError:
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the segment (owner only; idempotent)."""
-        if not self.owner:
-            return
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass
+        """Drop this process's mapping (the segment itself survives)."""
+        self._dir = self._data = None
+        super().close()
 
 
 class ShmCounter(Counter):

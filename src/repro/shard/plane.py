@@ -175,9 +175,9 @@ def scatter_chunk(result_queue, chunk) -> None:
     packed chunks pickle as descriptors — for those (and only those)
     the master drops its aliasing views into the shared slot, so the
     worker can recycle the slot and the master's pool mapping can
-    close without a ``BufferError``.  Heap and loose-frame chunks are
-    serialized *from* ``frames``/``_frame_store``; clearing them here
-    would race the pickle and silently ship empty frames.
+    close without a ``BufferError``.  Every other chunk is serialized
+    *from* ``frames``/``_frame_store``; clearing them here would race
+    the pickle and silently ship empty frames.
     """
     result_queue.put(chunk)
     if chunk.shm_ref is not None and chunk.is_packed:

@@ -25,10 +25,9 @@ Lifecycle invariants:
   copy-on-grow escape: :meth:`ShmChunkPool.ensure_packed` repacks the
   live frames into a fresh slot.
 
-This module and :mod:`repro.obs.shm` are the only places allowed to
-call ``SharedMemory(...)`` directly — reprolint RL012 enforces that
-every other segment user goes through a managed helper with paired
-``close()``/``unlink()``.
+The segment's own life (publish, validate, untrack, owner-only unlink)
+is the :class:`repro.shm.Segment` base's — the one module reprolint
+RL012 lets construct a ``SharedMemory`` handle.
 """
 
 from __future__ import annotations
@@ -37,18 +36,17 @@ import gc
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
-from multiprocessing import shared_memory
 
 from repro.core.chunk import Chunk
 from repro.obs import get_registry, names
-from repro.obs.shm import _tracker_token, _untrack
+from repro.shm import FIELDS_AT, Segment, SegmentLayout
 
 MAGIC = 0x5053_4348_504C  # "PSCHPL" as the low 6 bytes
-VERSION = 1
+VERSION = 2
 
 _HEADER_WORDS = 8
 _HEADER_BYTES = _HEADER_WORDS * 8
-(_H_MAGIC, _H_VERSION, _H_NSLOTS, _H_SLOT_BYTES, _H_TRACKER) = range(5)
+(_H_NSLOTS, _H_SLOT_BYTES) = range(FIELDS_AT, FIELDS_AT + 2)
 
 _SLOT_HDR_WORDS = 4
 _SLOT_HDR_BYTES = _SLOT_HDR_WORDS * 8
@@ -85,24 +83,14 @@ def pool_name(session: str, worker_id: int) -> str:
     return f"{session}-pool{worker_id}"
 
 
-class ShmChunkPool:
+class ShmChunkPool(Segment):
     """One worker's fixed-slot chunk store (see module docstring)."""
 
-    def __init__(self, shm: shared_memory.SharedMemory, owner: bool,
-                 allocator: bool) -> None:
-        self._shm = shm
-        self.owner = owner
+    LAYOUT = SegmentLayout("chunk pool", MAGIC, VERSION, _HEADER_WORDS)
+
+    def __init__(self, shm, owner: bool, allocator: bool) -> None:
+        super().__init__(shm, owner)
         self.allocator = allocator
-        self.name = shm.name
-        self._header = np.ndarray((_HEADER_WORDS,), dtype="<i8",
-                                  buffer=shm.buf)
-        if int(self._header[_H_MAGIC]) != MAGIC:
-            raise ValueError(f"segment {shm.name!r} is not a chunk pool")
-        if int(self._header[_H_VERSION]) != VERSION:
-            raise ValueError(
-                f"pool {shm.name!r}: layout version "
-                f"{int(self._header[_H_VERSION])} != {VERSION}"
-            )
         self.nslots = int(self._header[_H_NSLOTS])
         self.slot_bytes = int(self._header[_H_SLOT_BYTES])
         self._slot_headers = np.ndarray(
@@ -146,32 +134,20 @@ class ShmChunkPool:
         if slots < 1 or slot_bytes < 64:
             raise ValueError("pool needs >= 1 slot of >= 64 bytes")
         nbytes = _HEADER_BYTES + slots * _SLOT_HDR_BYTES + slots * slot_bytes
-        shm = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-        header = np.ndarray((_HEADER_WORDS,), dtype="<i8", buffer=shm.buf)
-        header[:] = 0
-        header[_H_VERSION] = VERSION
-        header[_H_NSLOTS] = slots
-        header[_H_SLOT_BYTES] = slot_bytes
-        header[_H_TRACKER] = _tracker_token()
-        slot_headers = np.ndarray((slots, _SLOT_HDR_WORDS), dtype="<i8",
-                                  buffer=shm.buf, offset=_HEADER_BYTES)
-        slot_headers[:] = 0
-        slot_headers[:, _S_GENERATION] = 1
-        # Magic last: an attacher racing create sees not-a-pool, never a
-        # half-initialised header (same publish order as MetricSlab).
-        header[_H_MAGIC] = MAGIC
-        del header
+        shm = cls._create(
+            name, nbytes, {_H_NSLOTS: slots, _H_SLOT_BYTES: slot_bytes}
+        )
         pool = cls(shm, owner=True, allocator=allocator)
+        # Slot headers are only ever read through a descriptor, and none
+        # exists before this returns — safe to initialise after publish.
+        pool._slot_headers[:, _S_GENERATION] = 1
         _ATTACHED[name] = pool
         return pool
 
     @classmethod
     def attach(cls, name: str, allocator: bool = False) -> "ShmChunkPool":
         """Map an existing pool; ``allocator=True`` in the owning worker."""
-        shm = shared_memory.SharedMemory(name=name)
-        pool = cls(shm, owner=False, allocator=allocator)
-        if _tracker_token() != int(pool._header[_H_TRACKER]):
-            _untrack(shm)
+        pool = cls(cls._attach(name), owner=False, allocator=allocator)
         _ATTACHED[name] = pool
         return pool
 
@@ -181,22 +157,9 @@ class ShmChunkPool:
         # Release numpy views into the buffer before closing the map,
         # and collect dead chunks so their frame views release too
         # (finished chunks are garbage by now, but not yet collected).
-        self._header = None
         self._slot_headers = None
         gc.collect()
-        try:
-            self._shm.close()
-        except BufferError:
-            # A chunk still holds a memoryview into the segment; leave
-            # the mapping to process exit rather than crash the drain.
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the segment (creator-side, after every close)."""
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass
+        super().close()
 
     # -- slot allocation (allocator side only) -------------------------
 
@@ -334,19 +297,21 @@ class ShmChunkPool:
             if slot is not None:
                 self._give_back(slot)
             if ref is not None and ref.segment == self.name and self.allocator:
-                # The chunk now pickles through the loose-frames path
-                # with _shm=None, so the clone that comes back makes
-                # recycle() a no-op — free the detached store's slot
-                # here or it leaks for the rest of the run.
+                # The chunk now pickles as owned bytes with _shm=None,
+                # so the clone that comes back makes recycle() a no-op —
+                # free the detached store's slot here or it leaks for
+                # the rest of the run.  Frames replace_frame() left
+                # alone still alias that slot: move them to the heap
+                # first, or the next chunk built there rewrites them.
+                chunk.repack_into(None)
                 self.release(ref)
-                chunk._shm = None
             self._m_fallbacks.inc()
             return False
         if ref is not None:
             # Copy-on-grow: the old slot's epoch was already bumped by
             # replace_frame(); recycle it under the bumped descriptor.
             self._m_repacks.inc()
-            self.release(ref._replace(epoch=ref.epoch))
+            self.release(ref)
         chunk.repack_into(self.slot_view(slot))
         self._bind(chunk, slot, chunk.packed_nbytes())
         return True

@@ -66,19 +66,16 @@ class TestVerdictDrops:
     def test_infra_verdict_drop_without_accounting_triggers(self, lint):
         result = lint({"core/framework.py": """
             def shed(self, chunk):
-                for verdict in chunk.verdicts:
-                    verdict.drop()
+                chunk.set_drop(chunk.pending_mask())
             """}, rules=["RL011"])
         assert rule_ids(result) == ["RL011"]
 
     def test_infra_verdict_drop_with_accounting_is_clean(self, lint):
         result = lint({"core/framework.py": """
             def shed(self, chunk):
-                shed = 0
-                for verdict in chunk.verdicts:
-                    verdict.drop()
-                    shed += 1
-                self.stats.backpressure_drops += shed
+                pending = chunk.pending_mask()
+                chunk.set_drop(pending)
+                self.stats.backpressure_drops += int(pending.sum())
             """}, rules=["RL011"])
         assert rule_ids(result) == []
 
@@ -86,7 +83,6 @@ class TestVerdictDrops:
         # Apps settle verdicts; conservation is accounted centrally.
         result = lint({"apps/ipv4.py": """
             def pre_shade(self, chunk):
-                for verdict in chunk.verdicts:
-                    verdict.drop()
+                chunk.set_drop(~chunk.batch().long_enough(14))
             """}, rules=["RL011"])
         assert rule_ids(result) == []

@@ -76,19 +76,37 @@ class TestVerdictDrops:
         result = lint({
             "core/shade.py": """
                 def shade(chunk):
-                    for verdict in chunk:
-                        verdict.drop()
+                    chunk.set_drop(chunk.pending_mask())
             """,
         }, rules=["RL011"])
         assert rule_ids(result) == ["RL011"]
+
+    def test_unaccounted_mask_shed_in_framework_flagged(self, lint):
+        """The regression: the shape the infrastructure really uses —
+        ``_shed_chunk`` with its counters deleted — used to lint clean
+        because the rule only knew the per-packet ``verdict.drop()``."""
+        result = lint({
+            "core/framework.py": """
+                class PacketShader:
+                    def _shed_chunk(self, chunk, egress):
+                        mask = chunk.pending_mask()
+                        chunk.set_drop(mask)
+                        chunk.gpu_input = None
+                        self._finish_chunk(chunk, egress)
+
+                    def _finish_chunk(self, chunk, egress):
+                        egress.update(chunk.split_by_port())
+            """,
+        }, rules=["RL011"])
+        assert rule_ids(result) == ["RL011"]
+        assert "set_drop" in messages(result)
 
     def test_callee_accounting_clears_verdict_drop(self, lint):
         files = {
             "core/shade.py": """
                 class Shader:
                     def shade(self, chunk):
-                        for verdict in chunk:
-                            verdict.drop()
+                        chunk.set_drop(chunk.pending_mask())
                         self._tally(chunk)
 
                     def _tally(self, chunk):
@@ -102,12 +120,12 @@ class TestVerdictDrops:
         result = lint({
             "core/shade.py": """
                 class Shader:
-                    def _discard(self, verdict):
-                        verdict.drop()
+                    def _discard(self, chunk, index):
+                        chunk.set_drop(index)
 
                     def shade(self, chunk):
-                        for verdict in chunk:
-                            self._discard(verdict)
+                        for index in chunk.pending_indices():
+                            self._discard(chunk, index)
                         self.m_dropped.inc(len(chunk))
             """,
         }, rules=["RL011"])
@@ -117,8 +135,7 @@ class TestVerdictDrops:
         result = lint({
             "apps/filter.py": """
                 def shade(chunk):
-                    for verdict in chunk:
-                        verdict.drop()
+                    chunk.set_drop(chunk.pending_mask())
             """,
         }, rules=["RL011"])
         assert result.findings == []

@@ -2,7 +2,7 @@
 
 
 from repro.apps.ipsec import IPsecGateway
-from repro.core.chunk import Chunk, Disposition
+from repro.core.chunk import FORWARD_CODE, SLOW_PATH_CODE, Chunk
 from repro.crypto.esp import (
     SecurityAssociation,
     esp_decapsulate,
@@ -31,8 +31,8 @@ class TestDataPath:
         originals = [bytes(f[14:]) for f in frames]
         chunk = chunk_of(frames)
         app.cpu_process(chunk)
-        assert all(v.disposition is Disposition.FORWARD for v in chunk.verdicts)
-        assert all(v.out_port == 1 for v in chunk.verdicts)
+        assert (chunk.dispositions == FORWARD_CODE).all()
+        assert (chunk.out_ports == 1).all()
         receiver = rx_sa(workload.sa)
         for frame, original in zip(chunk.frames, originals):
             inner, status = esp_decapsulate(receiver, bytes(frame[14:]))
@@ -51,7 +51,7 @@ class TestDataPath:
         app = IPsecGateway(ipsec_workload().sa)
         chunk = chunk_of([build_udp_ipv6(1, 2, 3, 4)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.SLOW_PATH
+        assert chunk.dispositions[0] == SLOW_PATH_CODE
 
     def test_gpu_and_cpu_paths_agree(self):
         """Same keys and sequence window produce identical ciphertext."""

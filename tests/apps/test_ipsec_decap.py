@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.ipsec import IPsecDecapGateway, IPsecGateway
-from repro.core.chunk import Chunk, Disposition
+from repro.core.chunk import DROP_CODE, FORWARD_CODE, SLOW_PATH_CODE, Chunk
 from repro.core.framework import PacketShader
 from repro.crypto.esp import SecurityAssociation, esp_decapsulate
 from repro.gen.workloads import ipsec_workload
@@ -34,8 +34,8 @@ class TestDataPath:
         encap.cpu_process(tunnel)
         clear = chunk_of(tunnel.frames)
         decap.cpu_process(clear)
-        assert all(v.disposition is Disposition.FORWARD for v in clear.verdicts)
-        assert all(v.out_port == 5 for v in clear.verdicts)
+        assert (clear.dispositions == FORWARD_CODE).all()
+        assert (clear.out_ports == 5).all()
         assert [bytes(f) for f in clear.frames] == originals
 
     def test_tampered_packet_dropped_as_bad_icv(self):
@@ -45,7 +45,7 @@ class TestDataPath:
         tunnel.frames[0][60] ^= 1
         clear = chunk_of(tunnel.frames)
         decap.cpu_process(clear)
-        assert clear.verdicts[0].disposition is Disposition.DROP
+        assert clear.dispositions[0] == DROP_CODE
         assert decap.drop_reasons["bad-icv"] == 1
 
     def test_replay_dropped(self):
@@ -56,7 +56,7 @@ class TestDataPath:
         decap.cpu_process(first)
         replayed = chunk_of(tunnel.frames)
         decap.cpu_process(replayed)
-        assert replayed.verdicts[0].disposition is Disposition.DROP
+        assert replayed.dispositions[0] == DROP_CODE
         assert decap.drop_reasons["replay"] == 1
 
     def test_non_esp_traffic_to_slow_path(self):
@@ -66,9 +66,7 @@ class TestDataPath:
             build_udp_ipv6(1, 2, 3, 4),
         ])
         decap.cpu_process(chunk)
-        assert all(
-            v.disposition is Disposition.SLOW_PATH for v in chunk.verdicts
-        )
+        assert (chunk.dispositions == SLOW_PATH_CODE).all()
 
     def test_gpu_and_cpu_paths_agree(self):
         encap_a, decap_a = tunnel_pair()
@@ -118,8 +116,8 @@ class TestDataPath:
         frames[1][14] = first_byte
         clear = chunk_of(frames)
         decap.cpu_process(clear)
-        assert [v.disposition for v in clear.verdicts] == [
-            Disposition.FORWARD, Disposition.DROP, Disposition.FORWARD,
+        assert clear.dispositions.tolist() == [
+            FORWARD_CODE, DROP_CODE, FORWARD_CODE,
         ]
         assert decap.drop_reasons["malformed"] == 1
 
@@ -143,13 +141,13 @@ class TestDataPath:
         expected_verdicts = []
         for frame in frames:
             if len(frame) < 34 or frame[12:14] != b"\x08\x00" or frame[23] != 50:
-                expected_verdicts.append(Disposition.SLOW_PATH)
+                expected_verdicts.append(SLOW_PATH_CODE)
                 continue
             _, status = esp_decapsulate(reference_sa, bytes(frame[14:]))
             if status == "ok":
-                expected_verdicts.append(Disposition.FORWARD)
+                expected_verdicts.append(FORWARD_CODE)
             else:
-                expected_verdicts.append(Disposition.DROP)
+                expected_verdicts.append(DROP_CODE)
                 expected[status] += 1
 
         clear = chunk_of(frames)
@@ -157,7 +155,7 @@ class TestDataPath:
         assert decap.drop_reasons == expected == {
             "bad-icv": 1, "replay": 2, "malformed": 1, "bad-spi": 1,
         }
-        assert [v.disposition for v in clear.verdicts] == expected_verdicts
+        assert clear.dispositions.tolist() == expected_verdicts
 
     def test_two_routers_back_to_back(self):
         """Encap router -> decap router, through the framework."""

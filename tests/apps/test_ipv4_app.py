@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.ipv4 import IPv4Forwarder
-from repro.core.chunk import Chunk, Disposition
+from repro.core.chunk import DROP_CODE, FORWARD_CODE, SLOW_PATH_CODE, Chunk
 from repro.gen.workloads import ipv4_workload
 from repro.lookup.dir24_8 import Dir24_8
 from repro.net.checksum import verify_checksum16
@@ -29,8 +29,8 @@ class TestClassification:
         app = IPv4Forwarder(table)
         chunk = chunk_of([build_udp_ipv4(1, 0x0A010203, 5, 6)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.FORWARD
-        assert chunk.verdicts[0].out_port == 3
+        assert chunk.dispositions[0] == FORWARD_CODE
+        assert chunk.out_ports[0] == 3
 
     def test_unrouted_packet_dropped(self):
         table = Dir24_8()
@@ -38,13 +38,13 @@ class TestClassification:
         app = IPv4Forwarder(table)
         chunk = chunk_of([build_udp_ipv4(1, 0xC0000001, 5, 6)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.DROP
+        assert chunk.dispositions[0] == DROP_CODE
 
     def test_ttl_expired_to_slow_path(self, workload):
         app = IPv4Forwarder(workload.table)
         chunk = chunk_of([build_udp_ipv4(1, 2, 3, 4, ttl=1)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.SLOW_PATH
+        assert chunk.dispositions[0] == SLOW_PATH_CODE
         assert app.slow_path_reasons["ttl-expired"] == 1
 
     def test_bad_checksum_dropped(self, workload):
@@ -53,27 +53,27 @@ class TestClassification:
         frame[24] ^= 0xFF  # corrupt the checksum
         chunk = chunk_of([frame])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.DROP
+        assert chunk.dispositions[0] == DROP_CODE
         assert app.slow_path_reasons["bad-checksum"] == 1
 
     def test_local_destination_to_slow_path(self, workload):
         app = IPv4Forwarder(workload.table, local_addresses={0x0A000001})
         chunk = chunk_of([build_udp_ipv4(9, 0x0A000001, 3, 4)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.SLOW_PATH
+        assert chunk.dispositions[0] == SLOW_PATH_CODE
         assert app.slow_path_reasons["local"] == 1
 
     def test_non_ipv4_to_slow_path(self, workload):
         app = IPv4Forwarder(workload.table)
         chunk = chunk_of([build_udp_ipv6(1, 2, 3, 4)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.SLOW_PATH
+        assert chunk.dispositions[0] == SLOW_PATH_CODE
 
     def test_truncated_frame_dropped(self, workload):
         app = IPv4Forwarder(workload.table)
         chunk = chunk_of([bytearray(20)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.DROP
+        assert chunk.dispositions[0] == DROP_CODE
 
     def test_ttl_and_checksum_updated_on_forward(self):
         table = Dir24_8()
@@ -110,12 +110,8 @@ class TestGPUPath:
         work = app.pre_shade(gpu_chunk)
         output = work.spec.fn(*work.args)  # execute the kernel body directly
         app.post_shade(gpu_chunk, output)
-        assert [v.disposition for v in cpu_chunk.verdicts] == [
-            v.disposition for v in gpu_chunk.verdicts
-        ]
-        assert [v.out_port for v in cpu_chunk.verdicts] == [
-            v.out_port for v in gpu_chunk.verdicts
-        ]
+        assert cpu_chunk.dispositions.tolist() == gpu_chunk.dispositions.tolist()
+        assert cpu_chunk.out_ports.tolist() == gpu_chunk.out_ports.tolist()
 
 
 class TestFIBUpdate:
@@ -130,10 +126,10 @@ class TestFIBUpdate:
         returned = app.swap_table(new)
         assert returned is old
         app.post_shade(chunk, work.spec.fn(*work.args))
-        assert chunk.verdicts[0].out_port == 1  # in-flight used old FIB
+        assert chunk.out_ports[0] == 1  # in-flight used old FIB
         fresh = chunk_of([build_udp_ipv4(1, 2, 3, 4)])
         app.cpu_process(fresh)
-        assert fresh.verdicts[0].out_port == 2  # new traffic uses new FIB
+        assert fresh.out_ports[0] == 2  # new traffic uses new FIB
 
 
 class TestCostHooks:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.ipv6 import IPv6Forwarder
-from repro.core.chunk import Chunk, Disposition
+from repro.core.chunk import DROP_CODE, FORWARD_CODE, SLOW_PATH_CODE, Chunk
 from repro.gen.workloads import ipv6_workload
 from repro.lookup.ipv6_bsearch import IPv6BinarySearch
 from repro.net.packet import build_udp_ipv4, build_udp_ipv6
@@ -30,21 +30,21 @@ class TestClassification:
         dst = (0x20010DB8 << 96) | 0x1234
         chunk = chunk_of([build_udp_ipv6(1, dst, 3, 4)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.FORWARD
-        assert chunk.verdicts[0].out_port == 4
+        assert chunk.dispositions[0] == FORWARD_CODE
+        assert chunk.out_ports[0] == 4
 
     def test_unrouted_dropped(self):
         app = single_route_app()
         chunk = chunk_of([build_udp_ipv6(1, 0xFE80 << 112, 3, 4)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.DROP
+        assert chunk.dispositions[0] == DROP_CODE
 
     def test_hop_limit_expired(self):
         app = single_route_app()
         dst = (0x20010DB8 << 96) | 1
         chunk = chunk_of([build_udp_ipv6(1, dst, 3, 4, hop_limit=1)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.SLOW_PATH
+        assert chunk.dispositions[0] == SLOW_PATH_CODE
         assert app.slow_path_reasons["hop-limit"] == 1
 
     def test_hop_limit_decremented(self):
@@ -58,7 +58,7 @@ class TestClassification:
         app = IPv6Forwarder(workload.table)
         chunk = chunk_of([build_udp_ipv4(1, 2, 3, 4)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.SLOW_PATH
+        assert chunk.dispositions[0] == SLOW_PATH_CODE
 
     def test_local_destination(self):
         dst = (0x20010DB8 << 96) | 7
@@ -66,7 +66,7 @@ class TestClassification:
         app.local_addresses.add(dst)
         chunk = chunk_of([build_udp_ipv6(1, dst, 3, 4)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.SLOW_PATH
+        assert chunk.dispositions[0] == SLOW_PATH_CODE
 
 
 class TestGPUPath:
@@ -84,9 +84,7 @@ class TestGPUPath:
         gpu_chunk = chunk_of(frames)
         work = app.pre_shade(gpu_chunk)
         app.post_shade(gpu_chunk, work.spec.fn(*work.args))
-        assert [v.out_port for v in cpu_chunk.verdicts] == [
-            v.out_port for v in gpu_chunk.verdicts
-        ]
+        assert cpu_chunk.out_ports.tolist() == gpu_chunk.out_ports.tolist()
 
     def test_kernel_charges_seven_accesses(self, workload):
         app = IPv6Forwarder(workload.table)

@@ -2,7 +2,7 @@
 
 
 from repro.apps.openflow import OpenFlowApp
-from repro.core.chunk import Chunk, Disposition
+from repro.core.chunk import DROP_CODE, FORWARD_CODE, SLOW_PATH_CODE, Chunk
 from repro.gen.workloads import openflow_workload
 from repro.net.packet import build_udp_ipv4
 from repro.openflow.actions import output
@@ -23,8 +23,8 @@ class TestDataPath:
         app = OpenFlowApp(switch)
         chunk = chunk_of([frame])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.FORWARD
-        assert chunk.verdicts[0].out_port == 6
+        assert chunk.dispositions[0] == FORWARD_CODE
+        assert chunk.out_ports[0] == 6
 
     def test_wildcard_match(self):
         switch = OpenFlowSwitch()
@@ -34,13 +34,13 @@ class TestDataPath:
         app = OpenFlowApp(switch)
         chunk = chunk_of([build_udp_ipv4(1, 2, 3, 4)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].out_port == 2
+        assert chunk.out_ports[0] == 2
 
     def test_miss_goes_to_controller_as_slow_path(self):
         app = OpenFlowApp(OpenFlowSwitch())
         chunk = chunk_of([build_udp_ipv4(1, 2, 3, 4)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.SLOW_PATH
+        assert chunk.dispositions[0] == SLOW_PATH_CODE
         assert len(app.switch.controller_queue) == 1
 
     def test_drop_rule(self):
@@ -49,7 +49,7 @@ class TestDataPath:
         app = OpenFlowApp(switch)
         chunk = chunk_of([build_udp_ipv4(1, 2, 3, 4)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.DROP
+        assert chunk.dispositions[0] == DROP_CODE
 
     def test_gpu_and_cpu_paths_agree(self):
         workload = openflow_workload(num_exact=200, num_wildcard=8, seed=61)
@@ -60,15 +60,13 @@ class TestDataPath:
         gpu_chunk = chunk_of(frames)
         work = app.pre_shade(gpu_chunk)
         app.post_shade(gpu_chunk, work.spec.fn(*work.args))
-        assert [v.disposition for v in cpu_chunk.verdicts] == [
-            v.disposition for v in gpu_chunk.verdicts
-        ]
+        assert cpu_chunk.dispositions.tolist() == gpu_chunk.dispositions.tolist()
 
     def test_truncated_frame_dropped(self):
         app = OpenFlowApp(OpenFlowSwitch())
         chunk = chunk_of([bytearray(8)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.DROP
+        assert chunk.dispositions[0] == DROP_CODE
 
 
 class TestCostHooks:

@@ -232,9 +232,9 @@ class TestIPv6Differential:
         hops = table.lookup_batch(dsts)
         for index in scalar_chunk.pending_indices():
             if hops[index] is None:
-                scalar_chunk.verdicts[index].drop()
+                scalar_chunk.set_drop(index)
             else:
-                scalar_chunk.verdicts[index].forward_to(hops[index])
+                scalar_chunk.set_forward(index, hops[index])
 
         app = IPv6Forwarder(table=table, local_addresses={LOCAL_V6})
         vector_chunk = Chunk(frames=[bytearray(f) for f in frames])

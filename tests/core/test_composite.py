@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.chunk import Chunk, Disposition
+from repro.core.chunk import DROP_CODE, FORWARD_CODE, Chunk
 from repro.core.composite import CompositeApplication
 from repro.core.framework import PacketShader
 from repro.apps.ipsec import IPsecGateway
@@ -31,9 +31,9 @@ class TestFunctional:
         ]
         chunk = Chunk(frames=frames)
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.FORWARD
-        assert chunk.verdicts[0].out_port == 7  # IPsec re-targeted it
-        assert chunk.verdicts[1].disposition is Disposition.DROP
+        assert chunk.dispositions[0] == FORWARD_CODE
+        assert chunk.out_ports[0] == 7  # IPsec re-targeted it
+        assert chunk.dispositions[1] == DROP_CODE
 
     def test_encrypted_output_decapsulates(self):
         app, sa = lookup_then_encrypt()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.ipv4 import IPv4Forwarder
-from repro.core.chunk import Chunk, Disposition
+from repro.core.chunk import FORWARD_CODE, SLOW_PATH_CODE, Chunk
 from repro.lookup.dir24_8 import Dir24_8
 from repro.net.neighbors import Neighbor, NeighborTable
 from repro.net.packet import build_udp_ipv4
@@ -62,18 +62,18 @@ class TestIPv4Integration:
         app = self._app(neighbors)
         chunk = Chunk(frames=[build_udp_ipv4(1, 0x0A010101, 5, 6)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.FORWARD
-        assert chunk.verdicts[0].out_port == 6  # the neighbor's port
+        assert chunk.dispositions[0] == FORWARD_CODE
+        assert chunk.out_ports[0] == 6  # the neighbor's port
         assert bytes(chunk.frames[0][0:6]) == (0x02EE00000099).to_bytes(6, "big")
 
     def test_unresolved_next_hop_diverts_to_slow_path(self):
         app = self._app(NeighborTable())  # empty: nothing resolved
         chunk = Chunk(frames=[build_udp_ipv4(1, 0x0A010101, 5, 6)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].disposition is Disposition.SLOW_PATH
+        assert chunk.dispositions[0] == SLOW_PATH_CODE
 
     def test_without_neighbors_next_hop_is_port(self):
         app = self._app(None)
         chunk = Chunk(frames=[build_udp_ipv4(1, 0x0A010101, 5, 6)])
         app.cpu_process(chunk)
-        assert chunk.verdicts[0].out_port == 2
+        assert chunk.out_ports[0] == 2

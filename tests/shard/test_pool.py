@@ -79,6 +79,20 @@ class TestLifecycle:
         finally:
             reader.close()
 
+    def test_reader_cannot_unlink(self, pool):
+        """unlink() is the creator's: a reader handle calling it must
+        leave the segment in place (as MetricSlab's always did)."""
+        reader = ShmChunkPool.attach(pool.name)
+        try:
+            assert pool.owner and not reader.owner
+            reader.unlink()
+            assert os.path.exists(f"/dev/shm/{pool.name}")
+            second = ShmChunkPool.attach(pool.name)
+            assert second.nslots == pool.nslots
+            second.close()
+        finally:
+            reader.close()
+
 
 class TestSlots:
     def test_build_chunk_is_shm_backed(self, pool):
@@ -135,7 +149,6 @@ class TestDescriptorWire:
         state = pool.build_chunk(frames_of(2, 128)).__getstate__()
         assert isinstance(state["_shm"], ChunkShmRef)
         assert state["_store_bytes"] is None
-        assert state["_loose_frames"] is None
 
     def test_clone_aliases_the_sender_slot(self, pool):
         """The round-tripped chunk maps the *same* slot memory: a write
@@ -233,6 +246,22 @@ class TestReplaceFrame:
         assert pool.free_slots == free_before + 1
         with pytest.raises(StaleChunkError, match="recycled"):
             pool.view(old)
+
+    def test_failed_escape_moves_surviving_frames_off_the_slot(self, pool):
+        """Found by the stateful machine: when the escape fails, the
+        frames replace_frame() left alone still aliased the slot being
+        given back, and the next chunk built there rewrote them."""
+        held = [pool.build_chunk(frames_of(1, 64)) for _ in range(3)]
+        chunk = pool.build_chunk(frames_of(2, 64, fill=0x41))
+        chunk.replace_frame(0, bytearray(b"\x42" * 80))
+        assert not pool.ensure_packed(chunk)  # exhausted: no fresh slot
+        assert chunk.shm_ref is None and chunk.is_packed
+        reuser = pool.build_chunk(frames_of(2, 64, fill=0x5A))
+        assert reuser.shm_ref is not None  # took the slot just freed
+        assert [bytes(f) for f in chunk.frames] == [
+            b"\x42" * 80, b"\x41" * 64,
+        ]
+        assert len(held) == 3
 
     def test_fallback_give_backs_keep_the_used_gauge_honest(self, pool):
         """Slots returned by the fallback paths (not just release())
