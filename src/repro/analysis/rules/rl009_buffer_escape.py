@@ -1,18 +1,19 @@
 """RL009: a borrowed frame view must not outlive the chunk that lent it.
 
-``Chunk`` packs its frames into one backing ``bytearray``; every
-``chunk.frames[i]`` is a ``memoryview`` slice of that store, and
+``Chunk`` packs its frames into one backing store; every
+``chunk.frames[i]`` is a ``memoryview`` sliced out of it on demand, and
 ``chunk.batch()`` is a NumPy array over the same bytes.  A pipeline
 stage receives those views on loan for the duration of one call: the
 moment it stashes one — on ``self``, in a module-level cache, in a
 container that survives the call — it holds an alias into storage it
-does not own.  ``replace_frame()`` repacks the store under it today;
-the sharded data plane remaps the backing shared-memory segment under
-it tomorrow.  Either way the stashed view silently reads dead bytes.
+does not own.  ``replace_frame()`` re-points the frame's extent (and
+may move the store) under it; the sharded data plane recycles the
+backing shared-memory slot under it.  Either way the stashed view
+silently reads dead bytes.
 
 The dataflow layer (:mod:`repro.analysis.semantics.dataflow`) tracks
 buffer taint with *ownership roots*, which keeps this compositional:
-``Chunk.__init__`` slicing the store it just allocated is LOCAL-rooted
+a constructor slicing the store it just allocated is LOCAL-rooted
 and silent; only **param-rooted** views — storage loaned in by the
 caller — escaping to an attribute, long-lived container, or global are
 findings.  Copy before you keep: ``bytes(view)`` owns its bytes.

@@ -16,7 +16,7 @@ module answers the questions the process-safety rules ask:
   shared-memory remap (RL009).
 
 The ownership-root distinction is what keeps the analysis compositional
-(RacerD's lesson): ``Chunk.__init__`` slicing a ``memoryview`` of the
+(RacerD's lesson): a constructor slicing a ``memoryview`` of the
 ``bytearray`` it just joined is the *owner* and stays silent; an app
 stashing ``chunk.frames[0]`` on ``self`` is aliasing storage it does
 not own and is flagged.

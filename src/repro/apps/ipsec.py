@@ -98,7 +98,7 @@ class IPsecGateway(RouterApplication):
         chunk.set_drop(pending & ~sealed)
         for index in np.flatnonzero(sealed).tolist():
             eth = bytes(chunk.frames[index][:ETHERNET_HEADER_LEN])
-            chunk.replace_frame(index, bytearray(eth + outers[index]))
+            chunk.replace_frame(index, eth + outers[index])
         chunk.set_forward(sealed, self.out_port)
 
     def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
@@ -241,7 +241,7 @@ class IPsecDecapGateway(RouterApplication):
             inner, status = results[index]
             if status == "ok" and inner is not None:
                 eth = bytes(chunk.frames[index][:ETHERNET_HEADER_LEN])
-                chunk.replace_frame(index, bytearray(eth + inner))
+                chunk.replace_frame(index, eth + inner)
                 opened[index] = True
             elif status in self.drop_reasons:
                 self.drop_reasons[status] += 1

@@ -155,7 +155,7 @@ class IPv4Forwarder(RouterApplication):
             ok &= ~expired
             all_ok = False
 
-        batch.ipv4_decrement_ttl(ok, chunk.frames)
+        batch.ipv4_decrement_ttl(ok)
         if all_ok:
             dsts = addresses
         else:

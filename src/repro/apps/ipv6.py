@@ -110,7 +110,7 @@ class IPv6Forwarder(RouterApplication):
             reasons["hop-limit"] += int(np.count_nonzero(expired))
             ok &= ~expired
 
-        batch.ipv6_decrement_hop_limit(np.flatnonzero(ok), chunk.frames)
+        batch.ipv6_decrement_hop_limit(np.flatnonzero(ok))
         for index, address in zip(candidates.tolist(), addresses):
             if ok[index]:
                 dsts[index] = address

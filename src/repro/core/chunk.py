@@ -16,6 +16,11 @@ Python loops (the same batching lesson the paper applies to packet I/O).  The
 columns *are* the verdicts — no per-packet object stands beside them
 (Section 4.2's argument against the skb): the setters take an index
 array, a boolean mask or one scalar index.
+
+The frames are columns too (Sections 4.2-4.3's huge packet buffer):
+one byte store plus offsets and lengths, from the RX-edge pack to the
+per-port egress gather; ``chunk.frames`` and ``chunk.batch()`` are two
+faces of those extents (:mod:`repro.net.frames`), never a second copy.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.net.frames import FrameBatch, frame_extents, pack_frames
+from repro.net.frames import FrameBatch, FrameLike, Frames, pack_frames
 
 
 class Disposition(enum.Enum):
@@ -72,10 +77,6 @@ class Chunk:
         "service_ns",
         "enqueue_depth",
         "trace_ctx",
-        "_frame_store",
-        "_offsets",
-        "_lengths",
-        "_packed",
         "_batch",
         "_shm",
     )
@@ -92,16 +93,13 @@ class Chunk:
         arrival_ns: float = 0.0,
         store_into: Optional[memoryview] = None,
     ) -> None:
-        #: Raw frames (mutable: the fast path rewrites TTLs and checksums).
-        #: Stored structure-of-arrays: the incoming frames are packed
-        #: into one contiguous backing buffer at the RX edge and each
-        #: list entry is a writable ``memoryview`` slice of it, so the
-        #: per-packet view and the vectorized :meth:`batch` view share
-        #: storage — a batched TTL rewrite is immediately visible here.
-        #: With ``store_into`` the pack lands in the caller's buffer
-        #: (a shared-memory chunk-pool slot) instead of a fresh
-        #: bytearray — the RX edge is then the chunk's only byte copy.
-        self._bind_store(*pack_frames(frames, out=store_into))
+        #: The frames, as extents of one store (mutable in place: the
+        #: fast path rewrites TTLs and checksums).  Packed here at the
+        #: RX edge — the chunk's only byte copy — into a fresh bytearray
+        #: or, with ``store_into``, into the caller's buffer (a
+        #: shared-memory chunk-pool slot).
+        self.frames = Frames(*pack_frames(frames, out=store_into))
+        self._batch: Optional[FrameBatch] = None
         #: Shared-memory descriptor when the store is a chunk-pool slot
         #: (:mod:`repro.shard.pool` binds it); None for heap-backed
         #: chunks.
@@ -140,21 +138,6 @@ class Chunk:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def _bind_store(self, store, offsets, lengths) -> None:
-        """Adopt ``store`` as the packed backing buffer: the one place
-        ``frames`` is sliced out of a store (construction, unpickling,
-        repacking)."""
-        self._frame_store = store
-        self._offsets = offsets
-        self._lengths = lengths
-        view = memoryview(self._frame_store)
-        self.frames = [
-            view[offset:offset + length]
-            for offset, length in zip(offsets.tolist(), lengths.tolist())
-        ]
-        self._packed = True
-        self._batch = None
-
     # ------------------------------------------------------------------
     # Process-boundary serialization.
     # ------------------------------------------------------------------
@@ -162,35 +145,34 @@ class Chunk:
     def __getstate__(self) -> dict:
         """Pickle the chunk for a process-boundary queue handoff.
 
-        Two wire forms, and either way the chunk arrives packed:
+        Two wire forms, and either way the chunk arrives with no dead
+        bytes:
 
         * **shm descriptor** — the store is a live chunk-pool slot: only
           the :class:`~repro.shard.pool.ChunkShmRef` travels (plus the
           offset/length columns); the frame bytes are never copied.
-        * **owned bytes** — one ``bytes`` blob: the store while packed,
-          the live frames joined (extents recomputed) once
-          ``replace_frame()`` detached some.
+        * **owned bytes** — one ``bytes`` blob: the store as it stands,
+          or the live frames re-packed once ``replace_frame()`` left
+          dead bytes behind.
 
         Only reads the chunk — ``mp.Queue`` pickles on a feeder thread.
         """
-        state = {
-            slot: getattr(self, slot)
-            for slot in self.__slots__
-            if slot not in ("frames", "_frame_store", "_batch", "_packed")
-        }
-        if self._shm is not None and self._packed:
+        state = {s: getattr(self, s) for s in self.__slots__ if s != "_batch"}
+        frames = self.frames
+        if self.in_slot:
             state["_store_bytes"] = None
-        elif self._packed:
-            state["_shm"] = None
-            state["_store_bytes"] = bytes(self._frame_store)
         else:
+            if not self.is_packed:
+                frames = Frames(*pack_frames(frames))
             state["_shm"] = None
-            state["_store_bytes"] = b"".join(self.frames)
-            state["_offsets"], state["_lengths"] = frame_extents(self.frames)
+            state["_store_bytes"] = bytes(frames.store)
+        # The store travels as above; under ``frames``, the two columns.
+        state["frames"] = (frames.offsets, frames.lengths)
         return state
 
     def __setstate__(self, state: dict) -> None:
         store_bytes = state.pop("_store_bytes")
+        extents = state.pop("frames")
         for slot, value in state.items():
             setattr(self, slot, value)
         if self._shm is not None:
@@ -202,50 +184,37 @@ class Chunk:
             store = resolve_ref(self._shm)
         else:
             store = bytearray(store_bytes)
-        self._bind_store(store, self._offsets, self._lengths)
+        self.frames = Frames(store, *extents)
+        self._batch = None
 
     # ------------------------------------------------------------------
     # The structure-of-arrays view.
     # ------------------------------------------------------------------
 
     def batch(self) -> FrameBatch:
-        """The chunk's frames as a :class:`FrameBatch` (cached).
-
-        While the frames are still the original packed slices the batch
-        wraps the backing buffer zero-copy and is marked *shared*:
-        vectorized header writes land directly in the frames and no
-        per-packet write-back is needed.  After :meth:`replace_frame`
-        the correspondence is broken, so the batch is rebuilt from the
-        live frame list on each call (copy-in, with write-back).
+        """The chunk's frames as a :class:`FrameBatch` over the same
+        store: vectorized header writes land directly in the frames.
+        Cached until :meth:`replace_frame` (the store may move).
         """
-        if self._batch is not None:
-            return self._batch
-        if self._packed:
-            batch = FrameBatch(
-                np.frombuffer(self._frame_store, dtype=np.uint8),
-                self._offsets,
-                self._lengths,
-                shared=True,
-            )
-            self._batch = batch
-            return batch
-        return FrameBatch.from_frames(self.frames)
+        if self._batch is None:
+            frames = self.frames
+            buf = np.frombuffer(frames.store, dtype=np.uint8)
+            self._batch = FrameBatch(buf, frames.offsets, frames.lengths)
+        return self._batch
 
-    def replace_frame(self, index: int, frame: bytearray) -> None:
+    def replace_frame(self, index: int, frame: FrameLike) -> None:
         """Substitute packet ``index``'s frame (e.g. ESP encap/decap).
 
-        Rebinding a frame (rather than mutating it in place) detaches it
-        from the packed buffer, so the cached batch view is invalidated.
-        On a shm-backed chunk the slot's epoch counter is bumped too, so
-        any descriptor of the old store still in flight in another
-        process fails validation instead of reading a half-true frame
-        list (the cross-process invalidation of docs/SHARDING.md).
-        Always use this instead of assigning ``chunk.frames[index]``
-        directly.
+        The new bytes go to the end of the store (:meth:`Frames.replace`)
+        and the old ones stay behind, dead, until a boundary compacts
+        the chunk.  A slot cannot grow: a slot-backed chunk moves to a
+        heap twin and keeps the slot under a bumped epoch, so any
+        descriptor of the old store still in flight in another process
+        fails validation instead of reading a half-true frame list (the
+        cross-process invalidation of docs/SHARDING.md).
         """
-        self.frames[index] = frame
-        self._packed = False
         self._batch = None
+        self.frames.replace(index, frame)
         if self._shm is not None:
             from repro.shard.pool import note_frame_replaced
 
@@ -257,30 +226,38 @@ class Chunk:
 
     @property
     def shm_ref(self):
-        """The chunk-pool descriptor of the store (None if heap-backed)."""
+        """The descriptor of the pool slot the chunk holds, if any."""
         return self._shm
 
     @property
+    def in_slot(self) -> bool:
+        """True while the store *is* the slot ``shm_ref`` names — until
+        :meth:`replace_frame` moves it to a heap twin."""
+        return self._shm is not None and not isinstance(
+            self.frames.store, bytearray
+        )
+
+    @property
     def is_packed(self) -> bool:
-        """True while every frame is still a slice of the packed store."""
-        return self._packed
+        """True while the store holds no dead bytes."""
+        return self.packed_nbytes() == len(self.frames.store)
 
     def packed_nbytes(self) -> int:
-        """Total packed bytes of the store (valid while packed)."""
-        return int(self._lengths.sum()) if len(self._lengths) else 0
+        """Total bytes of the live frames."""
+        return int(self.frames.lengths.sum())
 
-    def repack_into(self, buffer: Optional[memoryview]) -> None:
-        """Repack the live frames into ``buffer`` (a fresh pool slot),
-        or into a new heap store when ``buffer`` is None.
-
-        The copy-on-grow escape: after ``replace_frame`` detached
-        frames, one packing copy restores the SoA invariants against a
-        caller-supplied store.  Offset/length columns are recomputed
-        (replacement frames may differ in size).  The caller re-binds
-        the shm descriptor.
-        """
-        self._bind_store(*pack_frames(self.frames, out=buffer))
+    def compact(self, into: Optional[memoryview] = None) -> None:
+        """Move the live frames, packed, into ``into`` (a fresh pool
+        slot) or a new heap store; the caller re-binds the descriptor."""
+        self.frames = Frames(*pack_frames(self.frames, out=into))
+        self._batch = None
         self._shm = None
+
+    def release_store(self) -> None:
+        """Drop the store and the cached batch — this chunk's views into
+        a pool slot — keeping the columns a descriptor pickle reads."""
+        self.frames.store = b""
+        self._batch = None
 
     # ------------------------------------------------------------------
     # Verdict updates (``where``: index array, boolean mask, one index).
@@ -327,29 +304,35 @@ class Chunk:
             int(counts[SLOW_PATH_CODE]),
         )
 
-    def split_by_port(self) -> dict:
+    def split_by_port(self) -> Dict[int, Frames]:
         """Post-shading's final step: frames grouped by output port.
 
         A stable argsort over the forwarded packets' ports groups the
-        egress distribution in one vectorized pass; FIFO order within
-        each port is preserved (the paper's intra-flow ordering
+        egress distribution in one vectorized pass; one gather copies
+        the forwarded frames, port by port, out of the chunk's store
+        (egress outlives it) and each port gets its run.  FIFO order
+        within each port is preserved (the paper's intra-flow ordering
         guarantee rides on it).
         """
         forwarded = np.flatnonzero(self.dispositions == FORWARD_CODE)
-        by_port: dict = {}
+        by_port: Dict[int, Frames] = {}
         if forwarded.size == 0:
             return by_port
         ports = self.out_ports[forwarded]
         order = np.argsort(ports, kind="stable")
         sorted_ports = ports[order]
-        sorted_indices = forwarded[order]
-        boundaries = np.flatnonzero(np.diff(sorted_ports)) + 1
-        frames = self.frames
-        start = 0
-        for end in [*boundaries.tolist(), len(sorted_indices)]:
-            port = int(sorted_ports[start])
-            by_port[port] = [frames[i] for i in sorted_indices[start:end]]
-            start = end
+        grouped = self.frames.gather(forwarded[order])
+        view = memoryview(grouped.store)
+        bounds = [
+            0, *(np.flatnonzero(np.diff(sorted_ports)) + 1).tolist(), len(order)
+        ]
+        edges = [*grouped.offsets[bounds[:-1]].tolist(), len(view)]
+        for first, last, lo, hi in zip(bounds, bounds[1:], edges, edges[1:]):
+            by_port[sorted_ports.item(first)] = Frames(
+                view[lo:hi],
+                grouped.offsets[first:last] - lo,
+                grouped.lengths[first:last],
+            )
         return by_port
 
     def count(self, disposition: Disposition) -> int:
@@ -360,4 +343,4 @@ class Chunk:
 
     def max_frame_len(self, default: int = 64) -> int:
         """Largest frame in the chunk (``default`` when empty)."""
-        return max(map(len, self.frames), default=default)
+        return int(self.frames.lengths.max()) if len(self) else default

@@ -32,6 +32,7 @@ from repro.faults.recovery import CircuitBreaker, RetryPolicy, Watchdog
 from repro.hw.gpu import GPUDevice
 from repro.core.slowpath import SlowPathHandler
 from repro.io_engine.rss import ShardMap
+from repro.net.frames import Frames, pack_frames
 from repro.obs import (
     BATCH_SIZE_BUCKETS,
     Events,
@@ -42,6 +43,14 @@ from repro.obs import (
     get_tracer,
     names,
 )
+
+#: The egress map while chunks are still finishing: per port, one packed
+#: piece per chunk (:func:`_merged` joins them when the call returns).
+_Pieces = Dict[int, List[Frames]]
+
+
+def _merged(pieces: _Pieces) -> Dict[int, Frames]:
+    return {port: Frames.concat(parts) for port, parts in pieces.items()}
 
 
 @dataclass
@@ -466,18 +475,17 @@ class PacketShader:
         """True while any node's breaker keeps its GPU out of service."""
         return any(b.is_open for b in self.breakers.values())
 
-    def _finish_chunk(self, chunk: Chunk, egress: Dict[int, List[bytearray]]) -> None:
+    def _finish_chunk(self, chunk: Chunk, egress: _Pieces) -> None:
         """Account verdicts and split forwarded frames to ports.
 
         All three tallies and the egress/slow-path splits come from the
         chunk's disposition column: one ``bincount`` and two mask passes
         instead of four per-packet walks.
         """
-        for port, frames in chunk.split_by_port().items():
-            # Egress frames outlive the chunk: hand the caller owned
-            # copies, not views into the packed store a later
-            # replace_frame() would repack underneath them (RL009).
-            egress.setdefault(port, []).extend(map(bytearray, frames))
+        # Egress frames outlive the chunk: split_by_port() gathers each
+        # port's into a store of its own (RL009), one piece per chunk.
+        for port, piece in chunk.split_by_port().items():
+            egress.setdefault(port, []).append(piece)
         forwarded, dropped, slow = chunk.disposition_counts()
         self.stats.forwarded += forwarded
         self.stats.dropped += dropped
@@ -508,14 +516,17 @@ class PacketShader:
                 reply_frame = bytearray(14 + len(response))
                 reply_frame[12:14] = (0x0800).to_bytes(2, "big")
                 reply_frame[14:] = response
-                egress.setdefault(chunk.in_port, []).append(reply_frame)
+                egress.setdefault(chunk.in_port, []).append(
+                    Frames(*pack_frames([reply_frame]))
+                )
 
     def process_frames(
         self, frames: List[bytearray], in_port: int = 0
-    ) -> Dict[int, List[bytearray]]:
+    ) -> Dict[int, Frames]:
         """Run a burst of ingress frames through the full workflow.
 
-        Returns the egress map ``port -> frames``.  In CPU+GPU mode the
+        Returns the egress map ``port -> frames`` (each port's frames
+        packed in one owned store, in FIFO order).  In CPU+GPU mode the
         chunks flow worker -> master -> worker exactly as in Figure 9; in
         CPU-only mode workers do everything.
         """
@@ -525,7 +536,7 @@ class PacketShader:
 
     def process_chunks(
         self, chunks: List[Chunk], node: Optional[_Node] = None
-    ) -> Dict[int, List[bytearray]]:
+    ) -> Dict[int, Frames]:
         """Run pre-built chunks through the workflow on one node.
 
         The entry point for callers that already did the RX side (the
@@ -534,7 +545,7 @@ class PacketShader:
         wrapper that builds the chunks itself.
         """
         node = node or self.nodes[0]
-        egress: Dict[int, List[bytearray]] = {}
+        egress: _Pieces = {}
         for chunk in chunks:
             self.stats.received += len(chunk)
             self._m_received.inc(len(chunk))
@@ -594,24 +605,24 @@ class PacketShader:
             else:
                 self._shade_node(node)
                 self._drain_outputs(node, egress)
-        return egress
+        return _merged(egress)
 
-    def flush_transport(self, egress: Dict[int, List[bytearray]]) -> None:
-        """Block until every in-flight remote chunk is post-shaded.
+    def flush_transport(self) -> Dict[int, Frames]:
+        """Block until every in-flight remote chunk is post-shaded;
+        returns their egress map.
 
         The end-of-run barrier of the sharded plane: after the last
         burst a worker drains its private result queue to zero before
         reporting totals, so the conservation identities close.
         """
-        if self.transport is None:
-            return
-        for shaded in self.transport.drain(block=True):
-            self._post_shade_chunk(shaded, egress)
-            self.transport.recycle(shaded)
+        egress: _Pieces = {}
+        if self.transport is not None:
+            for shaded in self.transport.drain(block=True):
+                self._post_shade_chunk(shaded, egress)
+                self.transport.recycle(shaded)
+        return _merged(egress)
 
-    def _cpu_process_chunk(
-        self, chunk: Chunk, egress: Dict[int, List[bytearray]], degraded: bool
-    ) -> None:
+    def _cpu_process_chunk(self, chunk: Chunk, egress: _Pieces, degraded: bool) -> None:
         """Run one chunk through the CPU-only pipeline and finish it."""
         with self.profiler.track(Stages.CPU_PROCESS):
             self.app.cpu_process(chunk)
@@ -630,9 +641,7 @@ class PacketShader:
         )
         self._finish_chunk(chunk, egress)
 
-    def _shed_chunk(
-        self, chunk: Chunk, egress: Dict[int, List[bytearray]]
-    ) -> None:
+    def _shed_chunk(self, chunk: Chunk, egress: _Pieces) -> None:
         """Drop a chunk's still-pending packets under sustained backpressure.
 
         Pre-shading already settled some verdicts (drops, slow-path
@@ -651,9 +660,7 @@ class PacketShader:
         chunk.gpu_input = None
         self._finish_chunk(chunk, egress)
 
-    def _post_shade_chunk(
-        self, chunk: Chunk, egress: Dict[int, List[bytearray]]
-    ) -> None:
+    def _post_shade_chunk(self, chunk: Chunk, egress: _Pieces) -> None:
         """One shaded chunk's worker-side completion: post-shade + finish."""
         with self.profiler.track(Stages.POST_SHADE):
             self.app.post_shade(chunk, chunk.gpu_output)
@@ -666,7 +673,7 @@ class PacketShader:
         )
         self._finish_chunk(chunk, egress)
 
-    def _drain_outputs(self, node: _Node, egress: Dict[int, List[bytearray]]) -> None:
+    def _drain_outputs(self, node: _Node, egress: _Pieces) -> None:
         """Workers pick up shaded chunks and post-shade them."""
         for worker in node.workers:
             while True:
@@ -681,7 +688,7 @@ class PacketShader:
 
     @staticmethod
     def _frame_len(chunk: Chunk) -> int:
-        return len(chunk.frames[0]) if chunk.frames else 64
+        return int(chunk.frames.lengths[0]) if len(chunk) else 64
 
     def _worker_stage_cycles(self, chunk: Chunk, framework_cycles: float) -> float:
         """Modelled cycles of one worker-side shading step for a chunk.

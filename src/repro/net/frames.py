@@ -1,29 +1,30 @@
-"""Structure-of-arrays frame batches: vectorized header operations.
+"""Frames as extents of one store, and vectorized header operations.
 
 PacketShader's core lesson is that per-packet work dominates a software
-router (Sections 4.2-4.3): the paper amortizes every cost — system
-calls, DMA doorbells, copies — over batches.  This module applies the
-same lesson to the reproduction's own hot path.  A :class:`FrameBatch`
-repacks a chunk's ``List[bytearray]`` into one contiguous ``uint8``
-buffer plus per-packet offset/length arrays, so header classification
-(ethertype/version extraction, IPv4 checksum verification, TTL
-decrement with the RFC 1624 incremental update, destination-address
-gather) runs as a handful of numpy column operations over *all* packets
-at once instead of a Python loop per packet.
+router (Sections 4.2-4.3): the paper replaces the per-packet skb with a
+huge packet buffer — data cells plus a few bytes of metadata — and
+amortizes every remaining cost over batches.  This module is that
+buffer for the reproduction's own hot path: a batch of frames is one
+contiguous byte ``store`` plus two ``int64`` columns, frame ``i`` being
+``store[offsets[i]:offsets[i] + lengths[i]]``, and no per-frame object
+exists between RX and TX.  Two classes read that one form:
 
-When every frame has the same length — the common case for generated
-bursts and min-sized forwarding workloads — the buffer doubles as an
-``(n, frame_len)`` matrix, so each header byte column is a strided
-*view* (no gather, no bounds clamping).  Mixed-length batches fall back
-to bounds-safe gathers where a too-short frame reads as 0 and callers
-mask on :meth:`FrameBatch.long_enough`.
+* :class:`Frames` — the sequence face (``len``, index, iterate: a
+  writable ``memoryview`` sliced on demand, for the scalar oracles, the
+  slow path, tests and TX) and the two operations that move frames,
+  :meth:`Frames.replace` and :meth:`Frames.gather`;
+* :class:`FrameBatch` — the column face: header classification
+  (ethertype/version extraction, IPv4 checksum verification, TTL
+  decrement with the RFC 1624 incremental update, destination-address
+  gather) as a handful of numpy operations over *all* packets at once,
+  on a buffer that *is* the store — a header write is a frame write.
 
-The batch is a *view for computation*, not a new ownership model: it is
-built from the frame list at the start of classification and any header
-mutation is written back into the original ``bytearray`` objects (which
-the rest of the pipeline — egress queues, pcap dumps, tests — keeps
-holding).  Conversion at the edges is two C-level copies; everything in
-between is vectorized.
+When every frame has the same length and the store holds nothing else —
+the common case for generated bursts and min-sized forwarding workloads
+— the buffer doubles as an ``(n, frame_len)`` matrix, so each header
+byte column is a strided *view* (no gather, no bounds clamping).  Other
+batches fall back to bounds-safe gathers where a too-short frame reads
+as 0 and callers mask on :meth:`FrameBatch.long_enough`.
 
 None of this touches the *simulated* cycle accounting: the calibrated
 cost models in :mod:`repro.calib` still charge the per-packet cycles the
@@ -34,7 +35,7 @@ wall-clock footprint (see docs/PERF.md).
 from __future__ import annotations
 
 import sys
-from typing import List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,41 +46,120 @@ from repro.net.ipv4 import IPV4_HEADER_LEN
 FrameLike = Union[bytes, bytearray, memoryview]
 
 
-def frame_extents(frames: Sequence[FrameLike]):
-    """Per-frame ``(offsets, lengths)`` of the packed SoA layout."""
-    count = len(frames)
-    lengths = np.fromiter(map(len, frames), dtype=np.int64, count=count)
-    offsets = np.zeros(count, dtype=np.int64)
-    if count > 1:
+def _packed_offsets(lengths: np.ndarray) -> np.ndarray:
+    """Offsets of frames of ``lengths`` laid back to back."""
+    offsets = np.zeros(len(lengths), dtype=np.int64)
+    if len(lengths) > 1:
         np.cumsum(lengths[:-1], out=offsets[1:])
-    return offsets, lengths
+    return offsets
 
 
 def pack_frames(frames: Sequence[FrameLike], out: Optional[memoryview] = None):
     """Pack frames into one contiguous store: ``(store, offsets, lengths)``.
 
     The single packing copy of the SoA data plane (chunk construction,
-    chunk repacking, shm slot adoption all route through here).  With
-    ``out`` the frames land in the caller-supplied buffer — e.g. a
-    shared-memory chunk-pool slot — and the returned store is a
-    writable ``memoryview`` slice of it; otherwise a fresh ``bytearray``
-    is allocated.  Raises ``ValueError`` if ``out`` is too small.
+    compaction, shm slot adoption all route through here).  With ``out``
+    the frames land in the caller-supplied buffer — e.g. a shared-memory
+    chunk-pool slot — and the returned store is a writable
+    ``memoryview`` slice of it; otherwise it is a fresh ``bytearray``.
+    Raises ``ValueError`` if ``out`` is too small.
     """
-    offsets, lengths = frame_extents(frames)
-    total = int(lengths.sum()) if len(frames) else 0
-    if out is None:
-        store = bytearray().join(frames)
-        return store, offsets, lengths
-    if total > len(out):
-        raise ValueError(
-            f"packed frames need {total}B, buffer holds {len(out)}B"
+    lengths = np.fromiter(map(len, frames), dtype=np.int64, count=len(frames))
+    store = bytearray().join(frames)
+    if out is not None:
+        if len(store) > len(out):
+            raise ValueError(
+                f"packed frames need {len(store)}B, buffer holds {len(out)}B"
+            )
+        out[:len(store)] = store
+        store = out[:len(store)]
+    return store, _packed_offsets(lengths), lengths
+
+
+class Frames:
+    """Frames as extents of one store: a lazy, read-only sequence.
+
+    ``frames[i]`` is a writable ``memoryview`` sliced out of ``store``
+    when asked for; nothing per frame is kept, and the view is borrowed
+    (reprolint RL009).  There is no item assignment: :meth:`replace`.
+    """
+
+    __slots__ = ("store", "offsets", "lengths")
+
+    def __init__(self, store, offsets: np.ndarray, lengths: np.ndarray) -> None:
+        self.store = store
+        self.offsets = offsets
+        self.lengths = lengths
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    def __getitem__(self, index: int) -> memoryview:
+        offset = self.offsets.item(index)
+        return memoryview(self.store)[offset:offset + self.lengths.item(index)]
+
+    def __iter__(self) -> Iterator[memoryview]:
+        view = memoryview(self.store)
+        extents = zip(self.offsets.tolist(), self.lengths.tolist())
+        return (view[offset:offset + length] for offset, length in extents)
+
+    def __eq__(self, other) -> bool:
+        """Byte-equal, frame by frame, to any sequence of frames."""
+        try:
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        except TypeError:
+            return NotImplemented
+
+    def replace(self, index: int, frame: FrameLike) -> None:
+        """Append ``frame``'s bytes to the store and point extent
+        ``index`` at them: O(frame) while the store can grow in place.
+        One that cannot — a pool slot, a ``bytearray`` some view still
+        exports — is left to its holders and a fresh heap store takes
+        over, so an old view never aliases the new frame.
+        """
+        store, offset = self.store, len(self.store)
+        try:
+            if not isinstance(store, bytearray):
+                raise BufferError("fixed-size store")
+            store += frame
+        except BufferError:
+            self.store = bytearray().join((store, frame))
+        self.offsets[index] = offset
+        self.lengths[index] = len(frame)
+
+    def gather(self, indices) -> "Frames":
+        """An owned, packed copy of the selected frames, in that order."""
+        offsets, lengths = self.offsets[indices], self.lengths[indices]
+        width = lengths.item(0) if len(lengths) else 0
+        if width and (lengths == width).all():
+            # Equal lengths: every candidate frame is a row of the
+            # store's overlapping ``width``-byte windows — one row take.
+            rows = np.ndarray(
+                (len(self.store) - width + 1, width), dtype=np.uint8,
+                buffer=self.store, strides=(1, 1),
+            )
+            store = bytearray(rows[offsets])
+        else:
+            store = bytearray().join(Frames(self.store, offsets, lengths))
+        return Frames(store, _packed_offsets(lengths), lengths)
+
+    @classmethod
+    def concat(cls, pieces: Sequence["Frames"]) -> "Frames":
+        """``pieces`` end to end as one sequence over one owned store."""
+        if len(pieces) == 1:
+            return pieces[0]
+        store, bases, _ = pack_frames([piece.store for piece in pieces])
+        return cls(
+            store,
+            np.concatenate([
+                piece.offsets + base
+                for piece, base in zip(pieces, bases.tolist())
+            ]),
+            np.concatenate([piece.lengths for piece in pieces]),
         )
-    store = out[:total]
-    # The one edge copy into the caller's buffer (RX-edge pack, not a
-    # data-plane loop).
-    for offset, frame in zip(offsets.tolist(), frames):  # reprolint: ignore[RL006]
-        store[offset:offset + len(frame)] = frame
-    return store, offsets, lengths
+
 
 #: Byte weights of a big-endian 32-bit field (the dst-gather matmul).
 _BE32 = np.array([1 << 24, 1 << 16, 1 << 8, 1], dtype=np.uint32)
@@ -102,25 +182,18 @@ class FrameBatch:
     ``None``.  All gather helpers are bounds-safe: a frame too short for
     the requested field yields 0 (callers mask on :meth:`long_enough`).
 
-    ``shared`` marks a batch whose buffer *is* the frames' own storage
-    (:meth:`repro.core.chunk.Chunk.batch`): header mutations are then
-    visible through the frame objects directly and the per-packet
-    write-back step is skipped entirely.
+    ``buf`` wraps the frames' own store (:meth:`Chunk.batch`): a header
+    mutation here mutates the frame, there is no write-back.
     """
 
-    __slots__ = ("buf", "offsets", "lengths", "grid", "shared")
+    __slots__ = ("buf", "offsets", "lengths", "grid")
 
     def __init__(
-        self,
-        buf: np.ndarray,
-        offsets: np.ndarray,
-        lengths: np.ndarray,
-        shared: bool = False,
+        self, buf: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
     ) -> None:
         self.buf = buf
         self.offsets = offsets
         self.lengths = lengths
-        self.shared = shared
         self.grid: Optional[np.ndarray] = None
         count = len(offsets)
         if count:
@@ -133,39 +206,11 @@ class FrameBatch:
             ):
                 self.grid = buf.reshape(count, length)
 
-    # ------------------------------------------------------------------
-    # Edge conversions (the only per-frame work, both C-level copies).
-    # ------------------------------------------------------------------
-
     @classmethod
     def from_frames(cls, frames: Sequence[FrameLike]) -> "FrameBatch":
         """Pack a frame list into one contiguous batch buffer."""
-        count = len(frames)
-        if count == 0:
-            return cls(
-                np.zeros(0, dtype=np.uint8),
-                np.zeros(0, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-            )
-        # ``bytearray().join`` accepts any buffer objects and produces a
-        # mutable buffer that numpy wraps without another copy.
-        joined = bytearray().join(frames)
-        buf = np.frombuffer(joined, dtype=np.uint8)
-        lengths = np.fromiter(map(len, frames), dtype=np.int64, count=count)
-        offsets = np.empty(count, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        return cls(buf, offsets, lengths)
-
-    def to_frames(self) -> List[bytearray]:
-        """Unpack back into independent ``bytearray`` frames."""
-        view = memoryview(self.buf)
-        return [
-            bytearray(view[offset:offset + length])
-            for offset, length in zip(
-                self.offsets.tolist(), self.lengths.tolist()
-            )
-        ]
+        store, offsets, lengths = pack_frames(frames)
+        return cls(np.frombuffer(store, dtype=np.uint8), offsets, lengths)
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -341,18 +386,13 @@ class FrameBatch:
             return result
         return sums == 0
 
-    def ipv4_decrement_ttl(
-        self, selected: np.ndarray, frames: Sequence[bytearray]
-    ) -> None:
+    def ipv4_decrement_ttl(self, selected: np.ndarray) -> None:
         """Batched TTL decrement + RFC 1624 incremental checksum update.
 
         ``selected`` (an index array or boolean mask) picks IPv4 frames
         already known to have TTL > 1.  The new TTL and checksum are
-        computed vectorized for the whole selection; the changed header
-        region is then stored back into both the batch buffer and the
-        original ``bytearray`` frames (which the egress path keeps
-        holding) — one 4-byte slice copy per packet, the only remaining
-        per-packet step.
+        computed vectorized for the whole selection and stored into the
+        batch buffer — the frames' own store.
         """
         selected = np.asarray(selected)
         l3 = ETHERNET_HEADER_LEN
@@ -394,13 +434,6 @@ class FrameBatch:
             else:
                 word_col[selected] = new_word[selected].astype(np.uint16)
                 check_col[selected] = new_checksum[selected].astype(np.uint16)
-            if not self.shared:
-                view = memoryview(self.buf)
-                lo = l3 + 8
-                hi = l3 + 12
-                for index in np.flatnonzero(selected).tolist():
-                    offset = index * width + lo
-                    frames[index][lo:hi] = view[offset:offset + 4]
             return
         indices = (
             np.flatnonzero(selected) if selected.dtype == bool else selected
@@ -432,33 +465,14 @@ class FrameBatch:
         self.buf[offs + (l3 + 11)] = (new_checksum & np.uint32(0xFF)).astype(
             np.uint8
         )
-        if self.shared:
-            return
-        # Copy the mutated TTL/checksum region (bytes 8-11 of the IPv4
-        # header; byte 9, the protocol, is unchanged) back into the
-        # caller's frames in one slice assignment per packet.
-        view = memoryview(self.buf)
-        lo = l3 + 8
-        hi = l3 + 12
-        for index, offset in zip(indices.tolist(), (offs + lo).tolist()):
-            frames[index][lo:hi] = view[offset:offset + 4]
 
-    def ipv6_decrement_hop_limit(
-        self, indices: np.ndarray, frames: Sequence[bytearray]
-    ) -> None:
+    def ipv6_decrement_hop_limit(self, indices: np.ndarray) -> None:
         """Batched hop-limit decrement (no checksum in IPv6 headers).
 
         ``indices`` selects IPv6 frames already known to have hop limit
-        > 1; the single changed byte is written back into the caller's
-        frames.
+        > 1.
         """
         if len(indices) == 0:
             return
-        pos = ETHERNET_HEADER_LEN + 7
-        offs = self.offsets[indices] + pos
-        new_hop = (self.buf[offs] - np.uint8(1)).astype(np.uint8)
-        self.buf[offs] = new_hop
-        if self.shared:
-            return
-        for index, hop in zip(indices.tolist(), new_hop.tolist()):
-            frames[index][pos] = hop
+        offs = self.offsets[indices] + (ETHERNET_HEADER_LEN + 7)
+        self.buf[offs] -= np.uint8(1)

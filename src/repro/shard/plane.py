@@ -55,6 +55,7 @@ from repro.core.config import RouterConfig
 from repro.core.framework import PacketShader
 from repro.core.queues import RemoteMasterClient
 from repro.io_engine.rss import ShardMap
+from repro.net.frames import Frames
 from repro.obs import get_registry, names
 from repro.obs.multiproc import worker_obs, worker_session
 from repro.obs.registry import MetricsRegistry
@@ -171,18 +172,17 @@ def scatter_chunk(result_queue, chunk) -> None:
 
     ``multiprocessing.Queue.put`` serializes in a background feeder
     thread, so the chunk must not be mutated after ``put()`` unless
-    its pickle form is independent of the mutated fields.  Shm-backed
-    packed chunks pickle as descriptors — for those (and only those)
+    its pickle form is independent of the mutated fields.  Chunks still
+    in their slot pickle as descriptors — for those (and only those)
     the master drops its aliasing views into the shared slot, so the
     worker can recycle the slot and the master's pool mapping can
     close without a ``BufferError``.  Every other chunk is serialized
-    *from* ``frames``/``_frame_store``; clearing them here would race
-    the pickle and silently ship empty frames.
+    *from* its store; releasing it here would race the pickle and
+    silently ship empty frames.
     """
     result_queue.put(chunk)
-    if chunk.shm_ref is not None and chunk.is_packed:
-        chunk.frames = []
-        chunk._frame_store = b""
+    if chunk.in_slot:
+        chunk.release_store()
 
 
 def _worker_config() -> RouterConfig:
@@ -265,7 +265,7 @@ def _run_shard(spec: PlaneSpec, worker_id: int,
     cap = router.effective_chunk_capacity()
     egress_counts: Counter = Counter()
 
-    def tally(egress: Dict[int, List[bytearray]]) -> None:
+    def tally(egress: Dict[int, Frames]) -> None:
         for port, frames in egress.items():
             egress_counts[port] += len(frames)
 
@@ -279,9 +279,7 @@ def _run_shard(spec: PlaneSpec, worker_id: int,
         # Release this burst's slot views before the next pack round
         # (the submitted originals are dead; their clones came back).
         chunks = None
-    tail: Dict[int, List[bytearray]] = {}
-    router.flush_transport(tail)
-    tally(tail)
+    tally(router.flush_transport())
     stats = router.stats
     return WorkerReport(
         worker_id=worker_id,

@@ -19,10 +19,10 @@ Lifecycle invariants:
   recycled slot and raises :class:`StaleChunkError` instead of silently
   aliasing a newer chunk;
 * **epoch counters** — ``Chunk.replace_frame()`` (ipsec encap/decap
-  growing a frame) detaches frames from the packed store; the chunk
+  growing a frame) moves the chunk's store to a heap twin; the chunk
   bumps its slot's epoch so any descriptor still in flight is
   invalidated, and the next boundary crossing goes through the
-  copy-on-grow escape: :meth:`ShmChunkPool.ensure_packed` repacks the
+  copy-on-grow escape: :meth:`ShmChunkPool.ensure_packed` compacts the
   live frames into a fresh slot.
 
 The segment's own life (publish, validate, untrack, owner-only unlink)
@@ -113,8 +113,8 @@ class ShmChunkPool(Segment):
         )
         self._m_repacks = registry.counter(
             names.SHARD_POOL_REPACKS,
-            help="copy-on-grow escapes: chunks repacked into a fresh slot "
-            "after replace_frame() detached their store",
+            help="copy-on-grow escapes: chunks compacted into a fresh slot "
+            "after replace_frame() moved their store off the old one",
         )
 
     # -- segment lifecycle ---------------------------------------------
@@ -275,35 +275,33 @@ class ShmChunkPool(Segment):
         return chunk
 
     def ensure_packed(self, chunk: Chunk) -> bool:
-        """Make a chunk boundary-ready: shm-backed and packed.
+        """Make a chunk boundary-ready: its store a slot, no dead bytes.
 
         Three cases:
 
-        * already shm-backed and packed — nothing to do;
+        * already in its slot — nothing to do;
         * heap-backed — adopt: pack the frames into a fresh slot;
-        * shm-backed but detached (``replace_frame`` ran) — the
-          copy-on-grow escape: repack into a fresh slot and recycle the
-          invalidated one.
+        * on the heap twin ``replace_frame`` moved it to — the
+          copy-on-grow escape: compact into a fresh slot and recycle
+          the invalidated one.
 
         Returns False (and counts a fallback) when no slot fits; the
         chunk then pickles through the owned-bytes path.
         """
-        ref = chunk.shm_ref
-        if ref is not None and chunk.is_packed:
+        if chunk.in_slot:
             return True
-        total = sum(map(len, chunk.frames))
+        ref = chunk.shm_ref
         slot = self.acquire() if self.allocator else None
-        if slot is None or total > self.slot_bytes:
+        if slot is None or chunk.packed_nbytes() > self.slot_bytes:
             if slot is not None:
                 self._give_back(slot)
             if ref is not None and ref.segment == self.name and self.allocator:
-                # The chunk now pickles as owned bytes with _shm=None,
+                # The chunk now pickles as owned bytes with _shm=None
+                # (compact() drops the descriptor with the dead bytes),
                 # so the clone that comes back makes recycle() a no-op —
-                # free the detached store's slot here or it leaks for
-                # the rest of the run.  Frames replace_frame() left
-                # alone still alias that slot: move them to the heap
-                # first, or the next chunk built there rewrites them.
-                chunk.repack_into(None)
+                # free the invalidated slot here or it leaks for the
+                # rest of the run.
+                chunk.compact()
                 self.release(ref)
             self._m_fallbacks.inc()
             return False
@@ -312,7 +310,7 @@ class ShmChunkPool(Segment):
             # replace_frame(); recycle it under the bumped descriptor.
             self._m_repacks.inc()
             self.release(ref)
-        chunk.repack_into(self.slot_view(slot))
+        chunk.compact(self.slot_view(slot))
         self._bind(chunk, slot, chunk.packed_nbytes())
         return True
 
@@ -348,7 +346,7 @@ def attached_pool(segment: str) -> Optional[ShmChunkPool]:
 
 
 def note_frame_replaced(ref: ChunkShmRef) -> ChunkShmRef:
-    """Bump a slot's epoch after ``replace_frame`` detached its store.
+    """Bump a slot's epoch after ``replace_frame`` left it for a heap twin.
 
     Called by :meth:`repro.core.chunk.Chunk.replace_frame` through a
     lazy import.  The bump invalidates every descriptor of the old

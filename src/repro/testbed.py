@@ -144,10 +144,7 @@ class Testbed:
                 )
                 if not frames:
                     break
-                chunk = Chunk(
-                    frames=list(map(bytearray, frames)),
-                    worker_id=worker.worker_id,
-                )
+                chunk = Chunk(frames=frames, worker_id=worker.worker_id)
                 # Link the chunk to the RX event that birthed it: the
                 # CHUNK completion event echoes this context, so a
                 # merged cross-process stream can trace verdict back

@@ -93,7 +93,7 @@ class TestDataPath:
             for i in range(count)
         ])
         encap.cpu_process(tunnel)
-        return tunnel.frames, decap
+        return list(tunnel.frames), decap
 
     def test_crafted_frame_is_dropped_not_raised(self):
         """An outer ``total_length`` with no room for ESP used to raise

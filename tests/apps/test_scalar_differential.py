@@ -16,9 +16,12 @@ from repro.apps import scalar_ref
 from repro.apps.ipv4 import IPv4Forwarder
 from repro.apps.ipv6 import IPv6Forwarder
 from repro.core.chunk import Chunk, Disposition
+from repro.core.composite import CompositeApplication
+from repro.crypto.esp import esp_decapsulate
 from repro.lookup.dir24_8 import Dir24_8
 from repro.lookup.ipv6_bsearch import IPv6BinarySearch
 from repro.net.packet import build_udp_ipv4, build_udp_ipv6
+from tests.apps.test_ipsec_decap import tunnel_pair
 
 LOCAL_V4 = 0x0A0000FE  # 10.0.0.254
 ROUTES_V4 = [
@@ -280,3 +283,90 @@ class TestEgressDifferential:
         } == {
             port: [bytes(f) for f in fs] for port, fs in scalar_split.items()
         }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_split_by_port_matches_scalar_with_replaced_frames(self, data):
+        """Mixed lengths, any verdicts and ports, and a random subset of
+        frames replaced (grown and shrunk) before the split: per port
+        the gathered egress is the scalar loop's, byte for byte, FIFO."""
+        blobs = data.draw(
+            st.lists(st.binary(min_size=0, max_size=90), max_size=24)
+        )
+        count = len(blobs)
+        chunk = Chunk(frames=[bytearray(b) for b in blobs])
+        fates = data.draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 4)),
+            min_size=count, max_size=count,
+        ))
+        for index, (fate, port) in enumerate(fates):
+            if fate == 1:
+                chunk.set_forward(index, port)
+            elif fate == 2:
+                chunk.set_drop(index)
+            elif fate == 3:
+                chunk.set_slow_path(index)
+        expected = list(blobs)
+        replacements = data.draw(st.lists(
+            st.tuples(st.integers(0, max(count - 1, 0)),
+                      st.binary(min_size=0, max_size=140)),
+            max_size=count,
+        ))
+        for index, blob in replacements:
+            chunk.replace_frame(index, bytearray(blob))
+            expected[index] = blob
+        assert [bytes(f) for f in chunk.frames] == expected
+        scalar_split = scalar_ref.split_by_port_scalar(chunk)
+        vector_split = chunk.split_by_port()
+        assert list(vector_split) == sorted(scalar_split)
+        assert {
+            port: [bytes(f) for f in fs] for port, fs in vector_split.items()
+        } == {
+            port: [bytes(f) for f in fs] for port, fs in scalar_split.items()
+        }
+
+
+KINDS_TUNNELLED = (
+    "valid", "valid-long", "no-route", "local", "ttl-expired",
+    "bad-version", "bad-checksum",
+)
+
+
+class TestCompositeDifferential:
+    """decap -> ipv4 on one chunk: every frame is replaced (shrunk) by
+    the first stage, then classified, TTL-rewritten and looked up where
+    ``replace_frame`` left it — against the per-packet oracles."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(KINDS_TUNNELLED), st.integers(0, 2**16 - 1)),
+        min_size=1, max_size=16,
+    ))
+    def test_decap_then_ipv4_matches_scalar(self, recipes):
+        encap, decap = tunnel_pair()
+        tunnel = Chunk(frames=[build_v4(kind, seed) for kind, seed in recipes])
+        encap.cpu_process(tunnel)
+        tunnelled = [bytes(f) for f in tunnel.frames]
+
+        table = Dir24_8()
+        table.add_routes(ROUTES_V4)
+        forwarder = IPv4Forwarder(table=table, local_addresses={LOCAL_V4})
+        vector_chunk = Chunk(frames=tunnelled)
+        CompositeApplication([decap, forwarder]).cpu_process(vector_chunk)
+
+        reference_sa = tunnel_pair()[1].sa
+        clear = []
+        for frame in tunnelled:
+            inner, status = esp_decapsulate(reference_sa, frame[14:])
+            assert status == "ok"
+            clear.append(bytearray(frame[:14] + inner))
+        scalar_chunk = Chunk(frames=clear)
+        scalar_reasons = dict.fromkeys(forwarder.slow_path_reasons, 0)
+        dsts = scalar_ref.classify_ipv4_scalar(
+            scalar_chunk, frozenset({LOCAL_V4}), True, scalar_reasons
+        )
+        scalar_ref.apply_next_hops_ipv4_scalar(
+            scalar_chunk, table.lookup_batch(dsts)
+        )
+        assert dict(forwarder.slow_path_reasons) == scalar_reasons
+        assert_chunks_identical(scalar_chunk, vector_chunk)

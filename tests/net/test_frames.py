@@ -6,12 +6,13 @@ equivalence on fuzzed inputs, uniform and mixed-length alike.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.chunk import Chunk
 from repro.net.checksum import verify_checksum16
 from repro.net.ethernet import ETHERTYPE_IPV4
-from repro.net.frames import FrameBatch
+from repro.net.frames import FrameBatch, Frames
 from repro.net.ipv4 import decrement_ttl
 from repro.net.packet import build_udp_ipv4
 
@@ -24,11 +25,16 @@ def ipv4_frame(dst=0x0A0A0A0A, ttl=64, frame_len=64):
     return build_udp_ipv4(0x0A000001, dst, 5000, 53, frame_len=frame_len, ttl=ttl)
 
 
+def frames_of(batch):
+    """The batch's frames, read back out of its buffer."""
+    return Frames(batch.buf, batch.offsets, batch.lengths)
+
+
 class TestRoundTrip:
     @given(blobs_strategy)
     def test_from_to_frames_round_trip(self, blobs):
         batch = FrameBatch.from_frames([bytearray(b) for b in blobs])
-        assert [bytes(f) for f in batch.to_frames()] == blobs
+        assert [bytes(f) for f in frames_of(batch)] == blobs
 
     @given(blobs_strategy)
     def test_lengths_parallel_frames(self, blobs):
@@ -39,7 +45,7 @@ class TestRoundTrip:
     def test_empty_batch(self):
         batch = FrameBatch.from_frames([])
         assert len(batch) == 0
-        assert batch.to_frames() == []
+        assert list(frames_of(batch)) == []
 
     def test_uniform_batch_has_grid(self):
         batch = FrameBatch.from_frames([bytearray(64) for _ in range(4)])
@@ -148,9 +154,8 @@ class TestTTLDecrement:
         for frame in scalar_frames:
             assert decrement_ttl(frame, 14)
         batch = FrameBatch.from_frames(vector_frames)
-        batch.ipv4_decrement_ttl(
-            np.ones(len(batch), dtype=bool), vector_frames
-        )
+        batch.ipv4_decrement_ttl(np.ones(len(batch), dtype=bool))
+        vector_frames = frames_of(batch)
         assert [bytes(f) for f in vector_frames] == [
             bytes(f) for f in scalar_frames
         ]
@@ -161,7 +166,8 @@ class TestTTLDecrement:
         frames = [ipv4_frame(ttl=9), ipv4_frame(ttl=9), ipv4_frame(ttl=9)]
         before = [bytes(f) for f in frames]
         batch = FrameBatch.from_frames(frames)
-        batch.ipv4_decrement_ttl(np.array([0, 2], dtype=np.int64), frames)
+        batch.ipv4_decrement_ttl(np.array([0, 2], dtype=np.int64))
+        frames = frames_of(batch)
         assert frames[0][22] == 8 and frames[2][22] == 8
         assert bytes(frames[1]) == before[1]
 
@@ -169,39 +175,72 @@ class TestTTLDecrement:
         # 77-byte frames defeat the u16 word-view path but stay uniform.
         frames = [ipv4_frame(ttl=7, frame_len=77) for _ in range(3)]
         batch = FrameBatch.from_frames(frames)
-        batch.ipv4_decrement_ttl(np.ones(3, dtype=bool), frames)
-        for frame in frames:
+        batch.ipv4_decrement_ttl(np.ones(3, dtype=bool))
+        for frame in frames_of(batch):
             assert frame[22] == 6
             assert verify_checksum16(bytes(frame[14:34]))
 
 
 class TestSharedWithChunk:
+    """``chunk.frames`` and ``chunk.batch()`` are two faces of the same
+    extents: there is no copy to keep in step and nothing to write back."""
+
     def test_chunk_batch_is_cached_and_shared(self):
         chunk = Chunk(frames=[ipv4_frame() for _ in range(4)])
         batch = chunk.batch()
-        assert batch.shared
         assert chunk.batch() is batch
+        assert np.shares_memory(
+            batch.buf, np.frombuffer(chunk.frames.store, dtype=np.uint8)
+        )
 
     def test_shared_writes_visible_through_frames(self):
         chunk = Chunk(frames=[ipv4_frame(ttl=33) for _ in range(4)])
-        batch = chunk.batch()
-        batch.ipv4_decrement_ttl(np.ones(4, dtype=bool), chunk.frames)
+        chunk.batch().ipv4_decrement_ttl(np.ones(4, dtype=bool))
         for frame in chunk.frames:
             assert frame[22] == 32
             assert verify_checksum16(bytes(frame[14:34]))
-
-    def test_replace_frame_invalidates_batch(self):
-        chunk = Chunk(frames=[ipv4_frame(), ipv4_frame()])
-        stale = chunk.batch()
-        replacement = ipv4_frame(dst=0xC0A80101, frame_len=96)
-        chunk.replace_frame(0, replacement)
-        fresh = chunk.batch()
-        assert fresh is not stale
-        assert not fresh.shared
-        assert bytes(fresh.to_frames()[0]) == bytes(replacement)
 
     def test_frame_mutation_visible_to_batch(self):
         chunk = Chunk(frames=[ipv4_frame(), ipv4_frame()])
         batch = chunk.batch()  # built before the mutation
         chunk.frames[1][12:14] = b"\x86\xdd"  # flip to IPv6 ethertype
         assert batch.ethertype_is(ETHERTYPE_IPV4).tolist() == [True, False]
+
+    def test_item_assignment_is_refused(self):
+        chunk = Chunk(frames=[ipv4_frame(), ipv4_frame()])
+        with pytest.raises(TypeError):
+            chunk.frames[0] = ipv4_frame()
+
+    def test_replace_frame_invalidates_batch(self):
+        # The case the per-packet write-back loops existed for: once a
+        # frame was replaced the batch used to be a copy.
+        chunk = Chunk(frames=[ipv4_frame(ttl=9), ipv4_frame(ttl=9)])
+        stale = chunk.batch()
+        replacement = ipv4_frame(dst=0xC0A80101, ttl=9, frame_len=96)
+        chunk.replace_frame(0, replacement)
+        fresh = chunk.batch()
+        assert fresh is not stale
+        assert fresh.lengths.tolist() == [96, 64]
+        assert bytes(chunk.frames[0]) == bytes(replacement)
+        fresh.ipv4_decrement_ttl(np.ones(2, dtype=bool))
+        for frame in chunk.frames:
+            assert frame[22] == 8
+            assert verify_checksum16(bytes(frame[14:34]))
+
+    @pytest.mark.parametrize("held", ["batch", "frame", "iterator"])
+    def test_replace_frame_under_a_held_view(self, held):
+        """A bytearray cannot grow while a view of it is exported: the
+        chunk then takes a fresh store instead of raising BufferError,
+        and the old view keeps showing the frame that was."""
+        chunk = Chunk(frames=[bytearray(b"\x11" * 64), bytearray(b"\x22" * 64)])
+        view = {
+            "batch": lambda: chunk.batch().buf,
+            "frame": lambda: chunk.frames[0],
+            "iterator": lambda: next(iter(chunk.frames)),
+        }[held]()
+        chunk.replace_frame(0, bytearray(b"\x33" * 100))
+        chunk.replace_frame(1, bytearray(b"\x44" * 30))
+        assert bytes(view[:64]) == b"\x11" * 64
+        assert [bytes(f) for f in chunk.frames] == [b"\x33" * 100, b"\x44" * 30]
+        chunk.frames[0][0] = 0x55
+        assert view[0] == 0x11

@@ -279,6 +279,29 @@ class TestReplaceFrame:
         pool.recycle(held)
         assert gauge.value == 0
 
+    def test_egress_outlives_the_chunk_and_its_slot(self, pool):
+        """Egress is owned: what split_by_port() handed out does not
+        change when the chunk's store is rewritten, nor when the slot is
+        recycled and the next chunk is packed into it."""
+        chunk = pool.build_chunk(
+            [bytearray([0x40 + i] * (60 + 4 * i)) for i in range(6)]
+        )
+        chunk.set_forward([0, 2, 3, 5], [3, 1, 3, 1])
+        chunk.replace_frame(3, bytearray(b"\x77" * 90))
+        egress = chunk.split_by_port()
+        before = {port: [bytes(f) for f in fs] for port, fs in egress.items()}
+        assert before[3] == [b"\x40" * 60, b"\x77" * 90]
+        for frame in chunk.frames:
+            frame[:] = bytes(len(frame))
+        free_before = pool.free_slots
+        pool.recycle(chunk)
+        reuser = pool.build_chunk(frames_of(6, 100, fill=0x5A))
+        assert reuser.shm_ref is not None
+        assert pool.free_slots == free_before
+        assert {
+            port: [bytes(f) for f in fs] for port, fs in egress.items()
+        } == before
+
     def test_recycle_ignores_foreign_chunks(self, pool):
         heap = Chunk(frames_of(1, 64))
         pool.recycle(heap)  # no-op, no raise

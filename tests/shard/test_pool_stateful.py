@@ -168,7 +168,7 @@ class PoolMachine(RuleBasedStateMachine):
         frames_before = list(chunk.frames)
         ref_before = chunk.shm_ref
         clone = pickle.loads(pickle.dumps(chunk))
-        assert all(a is b for a, b in zip(chunk.frames, frames_before))
+        assert all(a == b for a, b in zip(chunk.frames, frames_before))
         assert chunk.is_packed == entry.packed
         assert chunk.shm_ref == ref_before
         aliases = entry.holds_slot and entry.packed
