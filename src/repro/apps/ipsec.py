@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.calib.constants import APPS, GPU_KERNELS
-from repro.core.application import GPUWorkItem, RouterApplication
+from repro.core.application import RouterApplication
 from repro.core.chunk import Chunk
 from repro.crypto.esp import (
     PROTO_ESP,
@@ -36,10 +36,15 @@ from repro.hw.gpu import KernelSpec
 from repro.net.ethernet import ETHERNET_HEADER_LEN, ETHERTYPE_IPV4
 
 
-class IPsecGateway(RouterApplication):
-    """An ESP tunnel gateway: every IPv4 packet is encrypted outbound."""
+class ESPApplication(RouterApplication):
+    """One end of an ESP tunnel: what the two directions share.
 
-    name = "ipsec"
+    Both ship whole L3 packets to the kernel, put its result back behind
+    the original Ethernet header, and push the same bytes through AES-CTR
+    and HMAC-SHA1: the gather, the frame swap and the cost hooks live
+    here; the kernel, the choice of packets and the verdicts do not.
+    """
+
     #: The paper selectively enables concurrent copy & execution (CUDA
     #: streams) for IPsec, the one payload-heavy application.
     use_streams = True
@@ -48,97 +53,40 @@ class IPsecGateway(RouterApplication):
     #: the small gathered address arrays of the lookup applications.
     #: Fitted to Figure 11(d): 20 Gbps input at 1514 B.
     gpu_displacement_override = 0.50
+    costs_by_frame_len = True
+    #: Why a kernel result drops its packet: the ``drop_reasons`` keys.
+    REASONS: tuple = ()
 
     def __init__(self, sa: SecurityAssociation, out_port: int = 0) -> None:
         self.sa = sa
         self.out_port = out_port
-        self.drop_reasons = {"seq-exhausted": 0}
+        self.drop_reasons = dict.fromkeys(self.REASONS, 0)
 
-    # ------------------------------------------------------------------
-    # Functional path.
-    # ------------------------------------------------------------------
+    def _eligible(self, batch) -> np.ndarray:
+        """Mask of the packets this end of the tunnel handles."""
+        return batch.long_enough(34) & (batch.ethertypes() == ETHERTYPE_IPV4)
 
-    def _encrypt_batch(self, inners: List[Optional[bytes]]) -> List[Optional[bytes]]:
-        """The GPU kernel body: ESP-encapsulate everything the master
-        gathered (``None`` where a packet was not gathered).
-
-        An SA whose sequence space cannot cover the call stops sending
-        (RFC 4303 section 3.3.3): the kernel reserves all or nothing, so
-        every gathered packet comes back ``None`` — dropped by
-        :meth:`_apply`, counted under ``seq-exhausted`` — and ``sa.seq``
-        stays where it was until the SA is rekeyed.
-        """
-        try:
-            return esp_encapsulate_batch(self.sa, inners)
-        except OverflowError:
-            self.drop_reasons["seq-exhausted"] += sum(
-                inner is not None for inner in inners
-            )
-            return [None] * len(inners)
-
-    def _gather(self, chunk: Chunk) -> List[Optional[bytes]]:
-        batch = chunk.batch()
-        eligible = batch.long_enough(34) & (
-            batch.ethertypes() == ETHERTYPE_IPV4
-        )
+    def gather(self, chunk: Chunk) -> Optional[List[Optional[bytes]]]:
+        eligible = self._eligible(chunk.batch())
         chunk.set_slow_path(~eligible)
-        inners: List[Optional[bytes]] = [None] * len(chunk)
+        if not chunk.pending_mask().any():
+            return None
+        packets: List[Optional[bytes]] = [None] * len(chunk)
         frames = chunk.frames
-        # Payload extraction stays per selected packet: each inner packet
+        # Payload extraction stays per selected packet: each L3 packet
         # becomes an independently-owned buffer for the cipher.
         for index in np.flatnonzero(eligible).tolist():
-            inners[index] = bytes(frames[index][ETHERNET_HEADER_LEN:])
-        return inners
+            packets[index] = bytes(frames[index][ETHERNET_HEADER_LEN:])
+        return packets
 
-    def _apply(self, chunk: Chunk, outers: List[Optional[bytes]]) -> None:
-        pending = chunk.pending_mask()
-        sealed = pending & np.array(
-            [outer is not None for outer in outers], dtype=bool
-        )
-        chunk.set_drop(pending & ~sealed)
-        for index in np.flatnonzero(sealed).tolist():
-            eth = bytes(chunk.frames[index][:ETHERNET_HEADER_LEN])
-            chunk.replace_frame(index, eth + outers[index])
-        chunk.set_forward(sealed, self.out_port)
-
-    def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
-        inners = self._gather(chunk)
-        if not chunk.pending_indices():
-            return None
-        frame_len = chunk.max_frame_len()
-        spec, threads_per_packet = self.kernel_cost(frame_len)
-        spec = KernelSpec(
-            name=spec.name,
-            compute_cycles=spec.compute_cycles,
-            stream_bytes=spec.stream_bytes,
-            fn=self._encrypt_batch,
-        )
-        bytes_in, bytes_out = self.gpu_bytes_per_packet(frame_len)
-        return GPUWorkItem(
-            spec=spec,
-            threads=max(1, int(len(chunk) * threads_per_packet)),
-            bytes_in=int(bytes_in * len(chunk)),
-            bytes_out=int(bytes_out * len(chunk)),
-            args=(inners,),
-        )
-
-    def kernel_fn(self, name: str):
-        if name == "ipsec_aes_sha1":
-            return self._encrypt_batch
-        return None
-
-    def post_shade(self, chunk: Chunk, gpu_output) -> None:
-        if gpu_output is None:
-            return
-        self._apply(chunk, gpu_output)
-
-    def cpu_process(self, chunk: Chunk) -> None:
-        inners = self._gather(chunk)
-        if chunk.pending_indices():
-            self._apply(chunk, self._encrypt_batch(inners))
+    @staticmethod
+    def _swap_payload(chunk: Chunk, index: int, packet: bytes) -> None:
+        """Replace frame ``index`` by its Ethernet header + ``packet``."""
+        eth = bytes(chunk.frames[index][:ETHERNET_HEADER_LEN])
+        chunk.replace_frame(index, eth + packet)
 
     # ------------------------------------------------------------------
-    # Cost helpers.
+    # Cost hooks: the same bytes flow through the cipher either way.
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -177,7 +125,7 @@ class IPsecGateway(RouterApplication):
                + GPU_KERNELS.ipsec_fixed_cycles) / blocks
         )
         spec = KernelSpec(
-            name="ipsec_aes_sha1",
+            name=self.kernel_name,
             compute_cycles=compute,
             stream_bytes=32.0,  # each block thread streams 16 B in + out
         )
@@ -185,33 +133,68 @@ class IPsecGateway(RouterApplication):
 
     def gpu_bytes_per_packet(self, frame_len: int) -> Tuple[float, float]:
         crypto = self._crypto_bytes(frame_len)
-        # h2d: payload + keys/IV/metadata; d2h: ciphertext + ICV.
+        # Plaintext side: payload + keys/IV/metadata; ciphertext side:
+        # ciphertext + ICV.  Plaintext goes in when encapsulating.
         return crypto + 52.0, crypto + 12.0
 
 
-class IPsecDecapGateway(RouterApplication):
+class IPsecGateway(ESPApplication):
+    """An ESP tunnel gateway: every IPv4 packet is encrypted outbound."""
+
+    name = "ipsec"
+    kernel_name = "ipsec_aes_sha1"
+    REASONS = ("seq-exhausted",)
+
+    def _encrypt_batch(self, inners: List[Optional[bytes]]) -> List[Optional[bytes]]:
+        """The GPU kernel body: ESP-encapsulate everything the master
+        gathered (``None`` where a packet was not gathered).
+
+        An SA whose sequence space cannot cover the call stops sending
+        (RFC 4303 section 3.3.3): the kernel reserves all or nothing, so
+        every gathered packet comes back ``None`` — dropped by
+        :meth:`apply`, counted under ``seq-exhausted`` — and ``sa.seq``
+        stays where it was until the SA is rekeyed.
+        """
+        try:
+            return esp_encapsulate_batch(self.sa, inners)
+        except OverflowError:
+            self.drop_reasons["seq-exhausted"] += sum(
+                inner is not None for inner in inners
+            )
+            return [None] * len(inners)
+
+    def kernel(self):
+        return self._encrypt_batch
+
+    def apply(self, chunk: Chunk, outers: List[Optional[bytes]]) -> None:
+        pending = chunk.pending_mask()
+        sealed = pending & np.array(
+            [outer is not None for outer in outers], dtype=bool
+        )
+        chunk.set_drop(pending & ~sealed)
+        for index in np.flatnonzero(sealed).tolist():
+            self._swap_payload(chunk, index, outers[index])
+        chunk.set_forward(sealed, self.out_port)
+
+
+class IPsecDecapGateway(ESPApplication):
     """The receiving end of the tunnel: authenticate, decrypt, forward.
 
     The paper evaluates the encryption direction; a deployed gateway
     needs both.  Decapsulation shares the cipher cost structure (the
-    same bytes flow through AES-CTR and HMAC), so the cost hooks mirror
-    :class:`IPsecGateway`; the verdicts differ — failed ICVs and
-    replays are *drops*, counted per reason like a real SAD would.
+    same bytes flow through AES-CTR and HMAC); the verdicts differ —
+    failed ICVs and replays are *drops*, counted per reason like a real
+    SAD would.
     """
 
     name = "ipsec-decap"
-    use_streams = True
-    gpu_displacement_override = IPsecGateway.gpu_displacement_override
+    kernel_name = "ipsec_decap_aes_sha1"
+    REASONS = ("bad-icv", "replay", "malformed", "bad-spi")
 
     def __init__(self, sa: SecurityAssociation, out_port: int = 0,
                  check_replay: bool = True) -> None:
-        self.sa = sa
-        self.out_port = out_port
+        super().__init__(sa, out_port)
         self.check_replay = check_replay
-        self.drop_reasons = {"bad-icv": 0, "replay": 0, "malformed": 0,
-                             "bad-spi": 0}
-
-    # -- functional ------------------------------------------------------
 
     def _decrypt_batch(self, outers: List[Optional[bytes]]):
         """The GPU kernel body: one (inner, status) per packet of the
@@ -220,91 +203,27 @@ class IPsecDecapGateway(RouterApplication):
             self.sa, outers, check_replay=self.check_replay
         )
 
-    def _gather(self, chunk: Chunk) -> List[Optional[bytes]]:
-        batch = chunk.batch()
-        is_esp = (
-            batch.long_enough(34)
-            & (batch.ethertypes() == ETHERTYPE_IPV4)
-            & (batch.byte_at(ETHERNET_HEADER_LEN + 9) == PROTO_ESP)
-        )
-        chunk.set_slow_path(~is_esp)
-        outers: List[Optional[bytes]] = [None] * len(chunk)
-        frames = chunk.frames
-        for index in np.flatnonzero(is_esp).tolist():
-            outers[index] = bytes(frames[index][ETHERNET_HEADER_LEN:])
-        return outers
+    def kernel(self):
+        return self._decrypt_batch
 
-    def _apply(self, chunk: Chunk, results) -> None:
+    def _eligible(self, batch) -> np.ndarray:
+        return super()._eligible(batch) & (
+            batch.byte_at(ETHERNET_HEADER_LEN + 9) == PROTO_ESP
+        )
+
+    def apply(self, chunk: Chunk, results) -> None:
         pending = chunk.pending_mask()
         opened = np.zeros(len(chunk), dtype=bool)
         for index in np.flatnonzero(pending).tolist():
             inner, status = results[index]
             if status == "ok" and inner is not None:
-                eth = bytes(chunk.frames[index][:ETHERNET_HEADER_LEN])
-                chunk.replace_frame(index, eth + inner)
+                self._swap_payload(chunk, index, inner)
                 opened[index] = True
             elif status in self.drop_reasons:
                 self.drop_reasons[status] += 1
         chunk.set_drop(pending & ~opened)
         chunk.set_forward(opened, self.out_port)
 
-    def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
-        outers = self._gather(chunk)
-        if not chunk.pending_indices():
-            return None
-        frame_len = chunk.max_frame_len()
-        spec, threads_per_packet = self.kernel_cost(frame_len)
-        spec = KernelSpec(
-            name=spec.name,
-            compute_cycles=spec.compute_cycles,
-            stream_bytes=spec.stream_bytes,
-            fn=self._decrypt_batch,
-        )
-        bytes_in, bytes_out = self.gpu_bytes_per_packet(frame_len)
-        return GPUWorkItem(
-            spec=spec,
-            threads=max(1, int(len(chunk) * threads_per_packet)),
-            bytes_in=int(bytes_in * len(chunk)),
-            bytes_out=int(bytes_out * len(chunk)),
-            args=(outers,),
-        )
-
-    def kernel_fn(self, name: str):
-        if name == "ipsec_decap_aes_sha1":
-            return self._decrypt_batch
-        return None
-
-    def post_shade(self, chunk: Chunk, gpu_output) -> None:
-        if gpu_output is None:
-            return
-        self._apply(chunk, gpu_output)
-
-    def cpu_process(self, chunk: Chunk) -> None:
-        outers = self._gather(chunk)
-        if chunk.pending_indices():
-            self._apply(chunk, self._decrypt_batch(outers))
-
-    # -- cost hooks: the cipher work mirrors the encap direction ---------
-
-    def cpu_cycles_per_packet(self, frame_len: int) -> float:
-        return IPsecGateway.cpu_cycles_per_packet(self, frame_len)
-
-    def worker_cycles_per_packet(self, frame_len: int) -> float:
-        return IPsecGateway.worker_cycles_per_packet(self, frame_len)
-
-    def kernel_cost(self, frame_len: int) -> Tuple[KernelSpec, float]:
-        spec, threads = IPsecGateway.kernel_cost(self, frame_len)
-        spec = KernelSpec(
-            name="ipsec_decap_aes_sha1",
-            compute_cycles=spec.compute_cycles,
-            stream_bytes=spec.stream_bytes,
-        )
-        return spec, threads
-
     def gpu_bytes_per_packet(self, frame_len: int) -> Tuple[float, float]:
-        bytes_in, bytes_out = IPsecGateway.gpu_bytes_per_packet(self, frame_len)
-        return bytes_out, bytes_in  # the payload flows the other way
-
-    # Borrow the byte-count helpers from the encap twin.
-    _crypto_bytes = staticmethod(IPsecGateway._crypto_bytes)
-    _auth_bytes = IPsecGateway._auth_bytes
+        plain, cipher = super().gpu_bytes_per_packet(frame_len)
+        return cipher, plain  # the payload flows the other way

@@ -5,11 +5,8 @@ malformed, TTL expired, bad checksum) to the Linux stack, update TTL and
 checksum on the rest, and gather destination addresses into an array.
 Shading: the DIR-24-8 lookup over the gathered addresses (a vectorised
 numpy gather — the same two-level table walk the CUDA kernel performs).
-Post-shading: distribute packets to ports by next hop.
-
-The FIB-update hook (:meth:`IPv4Forwarder.swap_table`) implements the
-double-buffering update the paper sketches in Section 7: a new table is
-built off to the side and swapped in atomically between chunks.
+Post-shading: distribute packets to ports by next hop
+(:class:`repro.apps.forwarder.Forwarder`, shared with IPv6).
 """
 
 from __future__ import annotations
@@ -18,8 +15,8 @@ from typing import Optional, Set, Tuple
 
 import numpy as np
 
+from repro.apps.forwarder import Forwarder
 from repro.calib.constants import APPS, GPU_KERNELS
-from repro.core.application import GPUWorkItem, RouterApplication
 from repro.core.chunk import Chunk
 from repro.hw.gpu import KernelSpec
 from repro.lookup.dir24_8 import Dir24_8, NO_ROUTE
@@ -28,10 +25,12 @@ from repro.net.ipv4 import IPV4_HEADER_LEN
 from repro.net.neighbors import NeighborTable
 
 
-class IPv4Forwarder(RouterApplication):
+class IPv4Forwarder(Forwarder):
     """The IPv4 application over a DIR-24-8 table."""
 
     name = "ipv4"
+    kernel_name = "ipv4_dir24_8"
+    REASONS = ("non-ip", "malformed", "ttl-expired", "bad-checksum", "local")
 
     def __init__(
         self,
@@ -40,47 +39,17 @@ class IPv4Forwarder(RouterApplication):
         verify_checksums: bool = True,
         neighbors: Optional[NeighborTable] = None,
     ) -> None:
-        self.table = table
-        self.local_addresses = local_addresses or set()
+        super().__init__(table, local_addresses, neighbors)
         self.verify_checksums = verify_checksums
-        #: Optional next-hop table; when set, post-shading rewrites the
-        #: Ethernet header (next-hop MAC in, egress-port MAC out) and
-        #: unresolved next hops divert to the slow path for ARP.
-        self.neighbors = neighbors
-        self.slow_path_reasons = {
-            "non-ip": 0,
-            "malformed": 0,
-            "ttl-expired": 0,
-            "bad-checksum": 0,
-            "local": 0,
-        }
 
-    # ------------------------------------------------------------------
-    # FIB update (Section 7: incremental update / double buffering).
-    # ------------------------------------------------------------------
+    def gather(self, chunk: Chunk) -> Optional[np.ndarray]:
+        """Classification (the slow-path logic of Section 6.2.1): set
+        DROP/SLOW_PATH verdicts and gather the destinations.
 
-    def swap_table(self, new_table: Dir24_8) -> Dir24_8:
-        """Atomically install a new FIB; returns the old one.
-
-        Chunks in flight finish against the table they started with (the
-        work item captures the table reference), so the data path never
-        observes a half-updated FIB.
-        """
-        old, self.table = self.table, new_table
-        return old
-
-    # ------------------------------------------------------------------
-    # Classification (the slow-path logic of Section 6.2.1).
-    # ------------------------------------------------------------------
-
-    def _classify(self, chunk: Chunk) -> Tuple[np.ndarray, np.ndarray]:
-        """Set DROP/SLOW_PATH verdicts; returns ``(dsts, pending)``.
-
-        ``dsts`` is a uint32 array with one slot per packet (non-pending
-        packets hold zero; their lookup result is ignored) and
-        ``pending`` the boolean mask of packets awaiting the lookup —
-        computed once here and reused by the callbacks instead of
-        re-walking the chunk.
+        Returns a uint32 array with one slot per packet (zero where
+        settled; that lookup result is ignored) and leaves the boolean
+        mask of packets awaiting the lookup in ``chunk.app_state``, so
+        ``apply`` does not re-walk the chunk.
 
         The whole classification runs as masked column operations over a
         :class:`FrameBatch` — precedence matches the scalar reference in
@@ -161,76 +130,14 @@ class IPv4Forwarder(RouterApplication):
         else:
             dsts = np.zeros(len(chunk), dtype=np.uint32)
             dsts[ok] = addresses[ok]
-        return dsts, chunk.pending_mask() & ok
-
-    def _apply_next_hops(
-        self,
-        chunk: Chunk,
-        next_hops: np.ndarray,
-        pending: Optional[np.ndarray] = None,
-    ) -> None:
-        mask = chunk.pending_mask() if pending is None else pending
-        if not mask.any():
-            return
-        hops = np.asarray(next_hops)
-        no_route = mask & (hops == NO_ROUTE)
-        chunk.set_drop(no_route)
-        routed = np.flatnonzero(mask & ~no_route)
-        if self.neighbors is None:
-            chunk.set_forward(routed, hops[routed])
-            return
-        frames = chunk.frames
-        for index in routed.tolist():
-            port = self.neighbors.rewrite(frames[index], int(hops[index]))
-            if port is None:
-                chunk.set_slow_path(index)  # awaiting ARP
-            else:
-                chunk.set_forward(index, port)
-
-    # ------------------------------------------------------------------
-    # The three callbacks.
-    # ------------------------------------------------------------------
-
-    def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
-        dsts, pending = self._classify(chunk)
+        pending = chunk.pending_mask() & ok
         if not pending.any():
             return None
-        chunk.app_state = pending  # reused by post_shade
-        table = self.table  # captured: FIB swaps don't affect in-flight work
-        spec = KernelSpec(
-            name="ipv4_dir24_8",
-            compute_cycles=GPU_KERNELS.ipv4_compute_cycles,
-            mem_accesses=GPU_KERNELS.ipv4_mem_accesses,
-            fn=table.lookup_batch,
-        )
-        # The gathered addresses ride in ``args`` — the H2D copy — so
-        # the work item can cross a process boundary with the callable
-        # stripped (rebound from kernel_fn on the master's side).
-        return GPUWorkItem(
-            spec=spec,
-            threads=len(chunk),
-            bytes_in=4 * len(chunk),
-            bytes_out=4 * len(chunk),
-            args=(dsts,),
-        )
+        chunk.app_state = pending
+        return dsts
 
-    def kernel_fn(self, name: str):
-        if name == "ipv4_dir24_8":
-            return self.table.lookup_batch
-        return None
-
-    def post_shade(self, chunk: Chunk, gpu_output) -> None:
-        if gpu_output is None:
-            return
-        pending = chunk.app_state
-        if not (isinstance(pending, np.ndarray) and pending.dtype == bool):
-            pending = None  # stale/foreign state: recompute from verdicts
-        self._apply_next_hops(chunk, gpu_output, pending)
-
-    def cpu_process(self, chunk: Chunk) -> None:
-        dsts, pending = self._classify(chunk)
-        if pending.any():
-            self._apply_next_hops(chunk, self.table.lookup_batch(dsts), pending)
+    def apply(self, chunk: Chunk, next_hops: np.ndarray) -> None:
+        self._apply_next_hops(chunk, next_hops, next_hops == NO_ROUTE)
 
     # ------------------------------------------------------------------
     # Cost hooks (calibration notes in repro.calib.constants.AppCosts).
@@ -249,7 +156,7 @@ class IPv4Forwarder(RouterApplication):
 
     def kernel_cost(self, frame_len: int) -> Tuple[KernelSpec, float]:
         spec = KernelSpec(
-            name="ipv4_dir24_8",
+            name=self.kernel_name,
             compute_cycles=GPU_KERNELS.ipv4_compute_cycles,
             mem_accesses=GPU_KERNELS.ipv4_mem_accesses,
         )

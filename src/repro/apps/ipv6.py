@@ -9,59 +9,36 @@ copied into the GPU memory" (16 B per destination instead of 4 B).
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.apps.forwarder import Forwarder
 from repro.calib.constants import APPS, GPU_KERNELS
-from repro.core.application import GPUWorkItem, RouterApplication
 from repro.core.chunk import Chunk
 from repro.hw.gpu import KernelSpec
-from repro.lookup.ipv6_bsearch import IPv6BinarySearch
 from repro.net.ethernet import ETHERNET_HEADER_LEN, ETHERTYPE_IPV6
 from repro.net.ipv6 import IPV6_HEADER_LEN
-from repro.net.neighbors import NeighborTable
 
 
-class IPv6Forwarder(RouterApplication):
+class IPv6Forwarder(Forwarder):
     """The IPv6 application over the binary-search-on-lengths table."""
 
     name = "ipv6"
+    kernel_name = "ipv6_bsearch"
+    REASONS = ("non-ip", "malformed", "hop-limit", "local")
 
-    def __init__(
-        self,
-        table: IPv6BinarySearch,
-        local_addresses: Optional[Set[int]] = None,
-        neighbors: Optional[NeighborTable] = None,
-    ) -> None:
-        self.table = table
-        self.local_addresses = local_addresses or set()
-        #: Optional next-hop table (see the IPv4 twin); unresolved hops
-        #: divert to the slow path for neighbor discovery.
-        self.neighbors = neighbors
-        self.slow_path_reasons = {
-            "non-ip": 0,
-            "malformed": 0,
-            "hop-limit": 0,
-            "local": 0,
-        }
-
-    def swap_table(self, new_table: IPv6BinarySearch) -> IPv6BinarySearch:
-        """Double-buffered FIB update (Section 7), as for IPv4."""
-        old, self.table = self.table, new_table
-        return old
-
-    def _classify(self, chunk: Chunk) -> Tuple[List[int], np.ndarray]:
-        """Verdicts for broken/local packets; ``(dsts, pending)``.
+    def gather(self, chunk: Chunk) -> Optional[List[int]]:
+        """Verdicts for broken/local packets; the gathered destinations.
 
         Masked column operations over a :class:`FrameBatch`, with the
         same precedence as the scalar reference
         (:mod:`repro.apps.scalar_ref`): too short → drop; wrong
         ethertype → slow path; wrong version → drop; local destination
         → slow path; hop limit expired → slow path; the rest get the
-        hop-limit decrement and their 128-bit destination gathered.
-        ``pending`` is the boolean lookup mask, computed once here and
-        reused by the callbacks.
+        hop-limit decrement and their 128-bit destination gathered (one
+        slot per packet, zero where settled).  The boolean lookup mask
+        is left in ``chunk.app_state`` for ``apply``.
         """
         reasons = self.slow_path_reasons
         l3 = ETHERNET_HEADER_LEN
@@ -114,69 +91,16 @@ class IPv6Forwarder(RouterApplication):
         for index, address in zip(candidates.tolist(), addresses):
             if ok[index]:
                 dsts[index] = address
-        return dsts, chunk.pending_mask() & ok
-
-    def _apply_next_hops(
-        self,
-        chunk: Chunk,
-        next_hops: List[Optional[int]],
-        pending: Optional[np.ndarray] = None,
-    ) -> None:
-        mask = chunk.pending_mask() if pending is None else pending
-        frames = chunk.frames
-        neighbors = self.neighbors
-        for index in np.flatnonzero(mask).tolist():
-            next_hop = next_hops[index]
-            if next_hop is None:
-                chunk.set_drop(index)
-            elif neighbors is None:
-                chunk.set_forward(index, next_hop)
-            else:
-                port = neighbors.rewrite(frames[index], next_hop)
-                if port is None:
-                    chunk.set_slow_path(index)  # awaiting ND
-                else:
-                    chunk.set_forward(index, port)
-
-    def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
-        dsts, pending = self._classify(chunk)
+        pending = chunk.pending_mask() & ok
         if not pending.any():
             return None
-        chunk.app_state = pending  # reused by post_shade
-        table = self.table
-        spec = KernelSpec(
-            name="ipv6_bsearch",
-            compute_cycles=GPU_KERNELS.ipv6_compute_cycles,
-            mem_accesses=GPU_KERNELS.ipv6_mem_accesses,
-            fn=table.lookup_batch,
-        )
-        # Addresses in ``args``: the H2D copy, and the picklable wire
-        # form of the work (the callable rebinds master-side).
-        return GPUWorkItem(
-            spec=spec,
-            threads=len(chunk),
-            bytes_in=16 * len(chunk),
-            bytes_out=4 * len(chunk),
-            args=(dsts,),
-        )
+        chunk.app_state = pending
+        return dsts
 
-    def kernel_fn(self, name: str):
-        if name == "ipv6_bsearch":
-            return self.table.lookup_batch
-        return None
-
-    def post_shade(self, chunk: Chunk, gpu_output) -> None:
-        if gpu_output is None:
-            return
-        pending = chunk.app_state
-        if not (isinstance(pending, np.ndarray) and pending.dtype == bool):
-            pending = None  # stale/foreign state: recompute from verdicts
-        self._apply_next_hops(chunk, gpu_output, pending)
-
-    def cpu_process(self, chunk: Chunk) -> None:
-        dsts, pending = self._classify(chunk)
-        if pending.any():
-            self._apply_next_hops(chunk, self.table.lookup_batch(dsts), pending)
+    def apply(self, chunk: Chunk, next_hops: List[Optional[int]]) -> None:
+        # Next hops are port indices, so -1 can stand for "no route".
+        hops = np.array([-1 if hop is None else hop for hop in next_hops])
+        self._apply_next_hops(chunk, hops, hops < 0)
 
     # ------------------------------------------------------------------
     # Cost hooks.
@@ -194,7 +118,7 @@ class IPv6Forwarder(RouterApplication):
 
     def kernel_cost(self, frame_len: int) -> Tuple[KernelSpec, float]:
         spec = KernelSpec(
-            name="ipv6_bsearch",
+            name=self.kernel_name,
             compute_cycles=GPU_KERNELS.ipv6_compute_cycles,
             mem_accesses=GPU_KERNELS.ipv6_mem_accesses,
         )

@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.calib.constants import APPS, GPU_KERNELS
-from repro.core.application import GPUWorkItem, RouterApplication
+from repro.core.application import RouterApplication
 from repro.core.chunk import Chunk
 from repro.hw.gpu import KernelSpec
 from repro.openflow.actions import PORT_CONTROLLER, apply_actions
@@ -29,13 +29,10 @@ class OpenFlowApp(RouterApplication):
     """An OpenFlow 0.8.9 switch on the PacketShader framework."""
 
     name = "openflow"
+    kernel_name = "openflow_hash_wildcard"
 
     def __init__(self, switch: OpenFlowSwitch) -> None:
         self.switch = switch
-
-    # ------------------------------------------------------------------
-    # Functional path.
-    # ------------------------------------------------------------------
 
     def _gpu_classify(
         self, keys: List[Optional[FlowKey]]
@@ -56,7 +53,11 @@ class OpenFlowApp(RouterApplication):
             results.append((key_hash, entry))
         return results
 
-    def _extract_keys(self, chunk: Chunk) -> List[Optional[FlowKey]]:
+    def kernel(self):
+        return self._gpu_classify
+
+    def gather(self, chunk: Chunk) -> Optional[List[Optional[FlowKey]]]:
+        """Pre-shading: the ten-field keys, also stashed for ``apply``."""
         batch = chunk.batch()
         parseable = batch.long_enough(14)
         chunk.set_drop(~parseable)
@@ -67,10 +68,14 @@ class OpenFlowApp(RouterApplication):
         # the length screen above is batch-level.
         for index in np.flatnonzero(parseable).tolist():
             keys[index] = extract_flow_key(bytes(frames[index]), in_port)
+        if not chunk.pending_mask().any():
+            return None
+        chunk.app_state = keys
         return keys
 
-    def _apply(self, chunk: Chunk, keys, classifications) -> None:
+    def apply(self, chunk: Chunk, classifications) -> None:
         """Post-shading: exact probe, precedence, actions."""
+        keys = chunk.app_state
         for index in chunk.pending_indices():
             key = keys[index]
             result = classifications[index]
@@ -102,42 +107,6 @@ class OpenFlowApp(RouterApplication):
             else:
                 chunk.set_drop(index)
 
-    def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
-        keys = self._extract_keys(chunk)
-        chunk.app_state = keys  # stashed for post-shading
-        if not chunk.pending_indices():
-            return None
-        spec, _ = self.kernel_cost(64)
-        spec = KernelSpec(
-            name=spec.name,
-            compute_cycles=spec.compute_cycles,
-            mem_accesses=spec.mem_accesses,
-            fn=self._gpu_classify,
-        )
-        work = GPUWorkItem(
-            spec=spec,
-            threads=len(chunk),
-            bytes_in=31 * len(chunk),  # packed ten-field keys
-            bytes_out=8 * len(chunk),  # hash + wildcard result index
-            args=(keys,),
-        )
-        return work
-
-    def kernel_fn(self, name: str):
-        if name == "openflow_hash_wildcard":
-            return self._gpu_classify
-        return None
-
-    def post_shade(self, chunk: Chunk, gpu_output) -> None:
-        if gpu_output is None:
-            return
-        self._apply(chunk, chunk.app_state, gpu_output)
-
-    def cpu_process(self, chunk: Chunk) -> None:
-        keys = self._extract_keys(chunk)
-        if chunk.pending_indices():
-            self._apply(chunk, keys, self._gpu_classify(keys))
-
     # ------------------------------------------------------------------
     # Cost hooks.
     # ------------------------------------------------------------------
@@ -160,7 +129,7 @@ class OpenFlowApp(RouterApplication):
 
     def kernel_cost(self, frame_len: int) -> Tuple[KernelSpec, float]:
         spec = KernelSpec(
-            name="openflow_hash_wildcard",
+            name=self.kernel_name,
             compute_cycles=(
                 GPU_KERNELS.of_compute_cycles
                 + len(self.switch.wildcard)

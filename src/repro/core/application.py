@@ -2,16 +2,11 @@
 
 "A packet processing application runs on top of the framework and is
 mainly driven by three callback functions (a pre-shader, a shader, and a
-post-shader)" (Section 5.1).  Concrete applications in
-:mod:`repro.apps` implement:
-
-* the **functional callbacks** — real per-packet work over real frames:
-  ``pre_shade`` classifies packets and builds the GPU input,
-  ``gpu_work`` describes (and performs) the kernel, ``post_shade``
-  applies results; ``cpu_process`` is the CPU-only mode's whole pipeline;
-* the **cost hooks** — per-packet CPU cycles, GPU kernel cost spec, and
-  PCIe bytes, which :mod:`repro.core.solver` assembles into the pipeline
-  model that yields the Figure 11 curves.
+post-shader)" (Section 5.1).  A concrete application in
+:mod:`repro.apps` writes those three — ``gather``, ``kernel``,
+``apply`` — plus the cost hooks :mod:`repro.core.solver` assembles into
+the pipeline model behind the Figure 11 curves;
+:class:`RouterApplication` derives everything the framework calls.
 """
 
 from __future__ import annotations
@@ -123,9 +118,17 @@ def run_fused(works: Sequence[GPUWorkItem]) -> list:
 class RouterApplication(abc.ABC):
     """Base class for PacketShader applications.
 
-    **The kernel contract.**  The callable a work item carries
-    (``spec.fn``, also what :meth:`kernel_fn` returns) takes one
-    per-item sequence and returns one per-item sequence:
+    An application writes :meth:`gather`, :meth:`kernel`, :meth:`apply`
+    and the four cost hooks.  This class turns them into the worker's
+    ``pre_shade`` / ``post_shade``, the CPU-only ``cpu_process`` (the
+    same three, back to back on the host) and the master's
+    ``bind_kernel``, and sizes the work item from the cost hooks — the
+    modelled launch and the solver read one kernel name, one cycle
+    count, one transfer size.
+
+    **The kernel contract.**  The callable :meth:`kernel` returns
+    (``spec.fn`` on the work item) takes one per-item sequence and
+    returns one per-item sequence:
 
     * ``len(fn(a)) == len(a)`` — one result per gathered item, ``None``
       (or the kernel's own "not gathered" value) where the item is a
@@ -143,6 +146,9 @@ class RouterApplication(abc.ABC):
 
     #: Short name used in reports ("ipv4", "ipsec", ...).
     name: str = "app"
+    #: The kernel's name: on the launch's spec and spans, and the key a
+    #: stripped work item is rebound by on the master's side.
+    kernel_name: str = "kernel"
     #: Whether the GPU-mode shading path uses CUDA streams (the paper
     #: enables concurrent copy & execution only for IPsec).
     use_streams: bool = False
@@ -151,44 +157,80 @@ class RouterApplication(abc.ABC):
     #: (small gathered arrays); payload-shipping applications displace
     #: NIC budget nearly byte-for-byte and set a higher value.
     gpu_displacement_override: float = None
+    #: Whether ``kernel_cost`` / ``gpu_bytes_per_packet`` read
+    #: ``frame_len``.  Lookup applications ship a fixed-size key per
+    #: packet and ignore it, so their chunks skip the ``lengths.max()``.
+    costs_by_frame_len: bool = False
 
     # ------------------------------------------------------------------
-    # Functional path.
+    # The three functions an application writes.
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
-    def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
-        """Worker step: drop malformed packets, divert slow-path ones,
-        mutate headers, and build the GPU input for the rest.
-
-        Returns the chunk's GPU work item, or None if nothing needs the
-        GPU (the chunk is then complete after pre-shading).
+    def gather(self, chunk: Chunk) -> Optional[Sequence]:
+        """Drop malformed packets, divert slow-path ones, mutate
+        headers, stash in ``chunk.app_state`` whatever :meth:`apply`
+        needs, and return the kernel's input: one item per packet, a
+        hole where the packet is already settled — or None when no
+        packet is left for the kernel (the chunk is then complete).
         """
 
     @abc.abstractmethod
-    def post_shade(self, chunk: Chunk, gpu_output) -> None:
-        """Worker step: apply GPU results — set verdicts/ports, rewrite
-        or duplicate packets as the results dictate."""
+    def kernel(self) -> Callable:
+        """The device-resident kernel as it stands *now* (it closes over
+        the application's tables; see the contract above)."""
 
     @abc.abstractmethod
+    def apply(self, chunk: Chunk, outputs: Sequence) -> None:
+        """Apply the kernel's per-item results — set verdicts/ports,
+        rewrite or replace packets as the results dictate."""
+
+    # ------------------------------------------------------------------
+    # The skeleton: what the framework and the forked plane call.
+    # ------------------------------------------------------------------
+
+    def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
+        """Worker step: :meth:`gather`, then the chunk's GPU work item —
+        or None if nothing needs the GPU."""
+        items = self.gather(chunk)
+        # The gathered input rides in ``args`` — the H2D copy — so the
+        # work item can cross a process boundary, callable stripped.
+        return None if items is None else self._work_item(chunk, (items,))
+
+    def _work_item(self, chunk: Chunk, args: tuple) -> GPUWorkItem:
+        """The chunk's launch of the current kernel, sized by the hooks."""
+        packets = len(chunk)
+        frame_len = chunk.max_frame_len() if self.costs_by_frame_len else 0
+        spec, threads_per_packet = self.kernel_cost(frame_len)
+        bytes_in, bytes_out = self.gpu_bytes_per_packet(frame_len)
+        return GPUWorkItem(
+            spec=replace(spec, fn=self.kernel()),
+            threads=max(1, int(packets * threads_per_packet)),
+            bytes_in=int(bytes_in * packets),
+            bytes_out=int(bytes_out * packets),
+            args=args,
+        )
+
+    def post_shade(self, chunk: Chunk, gpu_output) -> None:
+        """Worker step: :meth:`apply` the GPU results (None when
+        pre-shading left no GPU work)."""
+        if gpu_output is not None:
+            self.apply(chunk, gpu_output)
+
     def cpu_process(self, chunk: Chunk) -> None:
         """CPU-only mode: the whole pipeline on the worker, no GPU."""
-
-    # ------------------------------------------------------------------
-    # Cross-process shading (docs/SHARDING.md).
-    # ------------------------------------------------------------------
+        items = self.gather(chunk)
+        if items is not None:
+            self.apply(chunk, self.kernel()(items))
 
     def kernel_fn(self, name: str) -> Optional[Callable]:
-        """The device-resident implementation of a kernel, by name.
-
-        The sharded plane's master rebinds stripped work items against
-        *its* application instance — the analogue of kernel code and
-        lookup tables living in GPU memory rather than travelling with
-        every chunk.  Applications whose kernels may run in a remote
-        master override this; the default None means the app's work
-        items cannot cross a process boundary.
+        """The device-resident implementation of a kernel, by name (None
+        for a name that is not this application's).  The sharded plane's
+        master rebinds stripped work items against *its* instance — the
+        analogue of kernel code and lookup tables living in GPU memory
+        rather than travelling with every chunk.
         """
-        return None
+        return self.kernel() if name == self.kernel_name else None
 
     def bind_kernel(self, work: GPUWorkItem) -> GPUWorkItem:
         """Master-side rehydration of a work item's stripped callable."""
@@ -203,7 +245,7 @@ class RouterApplication(abc.ABC):
         return work
 
     # ------------------------------------------------------------------
-    # Cost hooks (consumed by repro.core.solver).
+    # Cost hooks (consumed by repro.core.solver and the work item).
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
@@ -218,7 +260,7 @@ class RouterApplication(abc.ABC):
 
     @abc.abstractmethod
     def kernel_cost(self, frame_len: int) -> Tuple[KernelSpec, float]:
-        """(kernel spec, GPU threads per packet) for the cost model."""
+        """(kernel spec named ``kernel_name``, GPU threads per packet)."""
 
     @abc.abstractmethod
     def gpu_bytes_per_packet(self, frame_len: int) -> Tuple[float, float]:

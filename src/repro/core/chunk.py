@@ -71,8 +71,11 @@ class Chunk:
         "dispositions",
         "out_ports",
         "gpu_input",
-        "gpu_output",
+        # Pickled in this order: ``app_state`` ahead of ``gpu_output``,
+        # so per-packet state objects (OpenFlow's keys) keep the short
+        # memo references they had when ``gpu_input`` carried them first.
         "app_state",
+        "gpu_output",
         "arrival_ns",
         "service_ns",
         "enqueue_depth",

@@ -17,11 +17,17 @@ either serialised (the paper's single-kernel limitation) or overlapped
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.core.application import GPUWorkItem, RouterApplication
 from repro.core.chunk import Chunk
 from repro.hw.gpu import KernelSpec
+
+
+def _fused_marker(*_no_input) -> tuple:
+    """Stands in for the fused kernel: marks the master's one launch;
+    the stages' work happens in ``apply`` on the worker."""
+    return ()
 
 
 class CompositeApplication(RouterApplication):
@@ -50,7 +56,12 @@ class CompositeApplication(RouterApplication):
             raise ValueError("a composite needs at least one stage")
         self.stages = list(stages)
         self.concurrent_kernels = concurrent_kernels
-        self.name = "+".join(stage.name for stage in self.stages)
+        self.name = self.kernel_name = "+".join(
+            stage.name for stage in self.stages
+        )
+        self.costs_by_frame_len = any(
+            stage.costs_by_frame_len for stage in self.stages
+        )
         self.use_streams = any(stage.use_streams for stage in self.stages)
         overrides = [
             stage.gpu_displacement_override
@@ -60,43 +71,26 @@ class CompositeApplication(RouterApplication):
         self.gpu_displacement_override = max(overrides) if overrides else None
 
     # ------------------------------------------------------------------
-    # Functional path.
+    # Functional path: the stages run inline, on the worker.
     # ------------------------------------------------------------------
 
-    def pre_shade(self, chunk: Chunk) -> Optional[GPUWorkItem]:
-        """Composite shading runs each stage's full pipeline inline.
+    def gather(self, chunk: Chunk) -> tuple:
+        """No device input: each stage gathers its own in :meth:`apply`."""
+        return ()
 
-        The master still sees a single work item whose ``fn`` performs
-        the chained kernels — matching the single-kernel reality the
-        paper describes (everything fused into one launch).
-        """
-        stages = self.stages
+    def kernel(self):
+        return _fused_marker
 
-        def fused_kernel() -> None:
-            # Work happens in post_shade via cpu-process chaining; the
-            # fused kernel is the marker for the master's launch.
-            return None
+    def pre_shade(self, chunk: Chunk) -> GPUWorkItem:
+        """One work item for the chained kernels — the single-kernel
+        reality the paper describes (everything fused into one launch).
+        It carries no input, so it never shares a kernel call with a
+        neighbour's, and one marker thread per packet."""
+        work = self._work_item(chunk, ())
+        work.threads = len(chunk)
+        return work
 
-        spec, _ = self.kernel_cost(chunk.max_frame_len())
-        spec = KernelSpec(
-            name=spec.name,
-            compute_cycles=spec.compute_cycles,
-            mem_accesses=spec.mem_accesses,
-            stream_bytes=spec.stream_bytes,
-            fn=fused_kernel,
-        )
-        bytes_in, bytes_out = self.gpu_bytes_per_packet(chunk.max_frame_len())
-        return GPUWorkItem(
-            spec=spec,
-            threads=len(chunk),
-            bytes_in=int(bytes_in * len(chunk)),
-            bytes_out=int(bytes_out * len(chunk)),
-        )
-
-    def post_shade(self, chunk: Chunk, gpu_output) -> None:
-        self.cpu_process(chunk)
-
-    def cpu_process(self, chunk: Chunk) -> None:
+    def apply(self, chunk: Chunk, outputs) -> None:
         """Chain the stages: each consumes the previous stage's
         forwarded packets."""
         for position, stage in enumerate(self.stages):
@@ -133,7 +127,7 @@ class CompositeApplication(RouterApplication):
             mem += spec.mem_accesses * scale
             stream += spec.stream_bytes * scale
         spec = KernelSpec(
-            name=self.name,
+            name=self.kernel_name,
             compute_cycles=compute,
             mem_accesses=mem,
             stream_bytes=stream,
@@ -145,8 +139,9 @@ class CompositeApplication(RouterApplication):
         kernels run concurrently, in which case shared packet payloads
         ride once (we charge the maximum of the stages plus the small
         per-stage metadata)."""
-        totals_in = [s.gpu_bytes_per_packet(frame_len)[0] for s in self.stages]
-        totals_out = [s.gpu_bytes_per_packet(frame_len)[1] for s in self.stages]
+        totals_in, totals_out = zip(
+            *(s.gpu_bytes_per_packet(frame_len) for s in self.stages)
+        )
         if self.concurrent_kernels:
             return max(totals_in), max(totals_out)
         return sum(totals_in), sum(totals_out)

@@ -391,24 +391,16 @@ class _ForwardRunner:
     """Steps the clean forwarding path, one burst per refresh."""
 
     def __init__(self, app: str, packets: int, seed: int) -> None:
-        from repro.apps.ipv4 import IPv4Forwarder
-        from repro.apps.ipv6 import IPv6Forwarder
+        from repro.apps import build_app
         from repro.core.framework import PacketShader
-        from repro.gen.workloads import ipv4_workload, ipv6_workload
 
         self.packets = packets
-        if app == "ipv6":
-            workload = ipv6_workload(num_routes=5_000, seed=seed)
-            self.router = PacketShader(IPv6Forwarder(workload.table))
-            self._burst = lambda: workload.generator.ipv6_burst(packets, 78)
-        else:
-            workload = ipv4_workload(num_routes=5_000, seed=seed)
-            self.router = PacketShader(IPv4Forwarder(workload.table))
-            self._burst = lambda: workload.generator.ipv4_burst(packets, 64)
+        application, self._burst = build_app(app, seed=seed)
+        self.router = PacketShader(application)
         self.title = f"repro top — {app} forwarding"
 
     def step(self) -> int:
-        self.router.process_frames(self._burst())
+        self.router.process_frames(self._burst(self.packets))
         return self.packets
 
 

@@ -197,13 +197,12 @@ _FIG11_UNITS = {"cpu_gbps": "Gbps", "gpu_gbps": "Gbps", "speedup": "ratio"}
 @bench("fig11a", "IPv4 forwarding throughput (Gbps)",
        x_key="frame_len", units=_FIG11_UNITS)
 def produce_fig11a(quick: bool = False) -> BenchResult:
-    from repro.apps.ipv4 import IPv4Forwarder
-    from repro.gen.workloads import ipv4_workload
+    from repro.apps import build_app
 
-    # Full mode builds the RouteViews-sized table (282,797 prefixes);
-    # the cost models don't depend on table size, so quick shrinks it.
-    workload = ipv4_workload(num_routes=5_000) if quick else ipv4_workload()
-    series = _app_sweep(IPv4Forwarder(workload.table), quick)
+    # Full mode builds the RouteViews-sized table (0 = all 282,797
+    # prefixes); the cost models don't depend on table size, so quick
+    # shrinks it.
+    series = _app_sweep(build_app("ipv4", 5_000 if quick else 0)[0], quick)
     return BenchResult(
         series=series,
         headline=_app_headline(series),
@@ -214,12 +213,11 @@ def produce_fig11a(quick: bool = False) -> BenchResult:
 @bench("fig11b", "IPv6 forwarding throughput (Gbps)",
        x_key="frame_len", units=_FIG11_UNITS)
 def produce_fig11b(quick: bool = False) -> BenchResult:
-    from repro.apps.ipv6 import IPv6Forwarder
-    from repro.gen.workloads import ipv6_workload
+    from repro.apps import build_app
 
     # Full mode uses the paper's 200,000 random prefixes.
-    workload = ipv6_workload(num_routes=5_000) if quick else ipv6_workload()
-    series = _app_sweep(IPv6Forwarder(workload.table), quick)
+    routes = 5_000 if quick else 200_000
+    series = _app_sweep(build_app("ipv6", routes)[0], quick)
     return BenchResult(
         series=series,
         headline=_app_headline(series),
@@ -271,10 +269,9 @@ def produce_fig11c(quick: bool = False) -> BenchResult:
 @bench("fig11d", "IPsec gateway input throughput (Gbps)",
        x_key="frame_len", units=_FIG11_UNITS)
 def produce_fig11d(quick: bool = False) -> BenchResult:
-    from repro.apps.ipsec import IPsecGateway
-    from repro.gen.workloads import ipsec_workload
+    from repro.apps import build_app
 
-    series = _app_sweep(IPsecGateway(ipsec_workload().sa), quick)
+    series = _app_sweep(build_app("ipsec")[0], quick)
     return BenchResult(
         series=series,
         headline=_app_headline(series),
@@ -315,11 +312,10 @@ def _fig12_percentiles_us(app, quick: bool) -> Dict[str, float]:
               "gpu_p50_us": "us", "gpu_p95_us": "us", "gpu_p99_us": "us"})
 def produce_fig12(quick: bool = False) -> BenchResult:
     from repro import app_latency_ns
-    from repro.apps.ipv6 import IPv6Forwarder
-    from repro.gen.workloads import ipv6_workload
+    from repro.apps import build_app
     from repro.sim.metrics import gbps_to_pps
 
-    app = IPv6Forwarder(ipv6_workload(num_routes=2000).table)
+    app, _ = build_app("ipv6", 2000)
     series = []
     for gbps in FIG12_LOADS:
         pps = gbps_to_pps(gbps, 64)
@@ -460,16 +456,12 @@ def produce_table3(quick: bool = False) -> BenchResult:
               "degraded_gbps": "Gbps", "ratio": "ratio"})
 def produce_degraded(quick: bool = False) -> BenchResult:
     from repro import app_throughput_report
-    from repro.apps.ipv4 import IPv4Forwarder
-    from repro.apps.ipv6 import IPv6Forwarder
+    from repro.apps import build_app
     from repro.core.solver import degraded_throughput_report
-    from repro.gen.workloads import EVAL_FRAME_SIZES, ipv4_workload, ipv6_workload
+    from repro.gen.workloads import EVAL_FRAME_SIZES
 
     routes = 2_000 if quick else 5_000
-    apps = {
-        "ipv4": IPv4Forwarder(ipv4_workload(num_routes=routes).table),
-        "ipv6": IPv6Forwarder(ipv6_workload(num_routes=routes).table),
-    }
+    apps = {name: build_app(name, routes)[0] for name in ("ipv4", "ipv6")}
     series = []
     verdict = ""
     for name, app in apps.items():
@@ -504,12 +496,11 @@ def produce_degraded(quick: bool = False) -> BenchResult:
        x_key="configuration", units={"io_gbps": "Gbps", "app_gbps": "Gbps"})
 def produce_numa(quick: bool = False) -> BenchResult:
     from repro import app_throughput_report
-    from repro.apps.ipv6 import IPv6Forwarder
+    from repro.apps import build_app
     from repro.core.config import RouterConfig
-    from repro.gen.workloads import ipv6_workload
     from repro.io_engine.engine import io_throughput_report
 
-    app = IPv6Forwarder(ipv6_workload(num_routes=1000).table)
+    app, _ = build_app("ipv6", 1000)
     aware = io_throughput_report(64, mode="forward", numa_aware=True)
     blind = io_throughput_report(64, mode="forward", numa_aware=False)
     app_aware = app_throughput_report(app, 64, use_gpu=True)
@@ -585,9 +576,8 @@ def produce_divergence(quick: bool = False) -> BenchResult:
        x_key="machine_class", units={"usd_per_ghz": "USD/GHz"})
 def produce_ablations(quick: bool = False) -> BenchResult:
     from repro import app_throughput_report
-    from repro.apps.ipv6 import IPv6Forwarder
+    from repro.apps import build_app
     from repro.calib.constants import CPU, GPU, SYSTEM
-    from repro.gen.workloads import ipv6_workload
     from repro.hw.cpu import memory_access_time
 
     # The paper's own price points: $/GHz of aggregate clock.
@@ -596,7 +586,7 @@ def produce_ablations(quick: bool = False) -> BenchResult:
         {"machine_class": "dual-socket", "usd_per_ghz": 925 / (2.66 * 4)},
         {"machine_class": "quad-socket", "usd_per_ghz": 2190 / (2.00 * 6)},
     ]
-    app = IPv6Forwarder(ipv6_workload(num_routes=1000).table)
+    app, _ = build_app("ipv6", 1000)
     gpu_gbps = app_throughput_report(app, 64, use_gpu=True).gbps
     cpu_gbps = app_throughput_report(app, 64, use_gpu=False).gbps
 
@@ -709,17 +699,12 @@ def produce_scaling(quick: bool = False) -> BenchResult:
     from dataclasses import replace
 
     from repro import app_throughput_report
-    from repro.apps.ipv4 import IPv4Forwarder
-    from repro.apps.ipv6 import IPv6Forwarder
+    from repro.apps import build_app
     from repro.calib.constants import SYSTEM
     from repro.core.config import RouterConfig
-    from repro.gen.workloads import ipv4_workload, ipv6_workload
 
     routes = 2_000 if quick else 5_000
-    apps = {
-        "ipv4": IPv4Forwarder(ipv4_workload(num_routes=routes).table),
-        "ipv6": IPv6Forwarder(ipv6_workload(num_routes=routes).table),
-    }
+    apps = {name: build_app(name, routes)[0] for name in ("ipv4", "ipv6")}
     series = []
     bottleneck_8w = ""
     for workers in (1, 2, 4, 8):
@@ -764,12 +749,10 @@ def produce_scaling(quick: bool = False) -> BenchResult:
        units={"direct_gbps": "Gbps", "classic_gbps": "Gbps"})
 def produce_extensions(quick: bool = False) -> BenchResult:
     from repro import app_throughput_report
-    from repro.apps.ipsec import IPsecGateway
-    from repro.apps.ipv4 import IPv4Forwarder
+    from repro.apps import build_app
     from repro.calib.constants import IO_ENGINE, LINUX_STACK
     from repro.core.composite import CompositeApplication
     from repro.core.scaling import VLBCluster, packetshader_vs_rb4
-    from repro.gen.workloads import ipsec_workload, ipv4_workload
 
     series = []
     for nodes in (1, 2, 4, 8):
@@ -784,9 +767,9 @@ def produce_extensions(quick: bool = False) -> BenchResult:
         })
     comparison = packetshader_vs_rb4()
 
-    ipv4 = IPv4Forwarder(ipv4_workload(num_routes=1000).table)
-    ipsec = IPsecGateway(ipsec_workload().sa)
-    composite = CompositeApplication([ipv4, ipsec])
+    composite = CompositeApplication(
+        [build_app("ipv4", 1000)[0], build_app("ipsec")[0]]
+    )
     composite_gpu = app_throughput_report(composite, 64, use_gpu=True).gbps
     composite_cpu = app_throughput_report(composite, 64, use_gpu=False).gbps
 

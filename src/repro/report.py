@@ -21,22 +21,13 @@ import argparse
 import sys
 
 from repro import app_latency_ns, app_throughput_report
-from repro.apps.ipsec import IPsecGateway
-from repro.apps.ipv4 import IPv4Forwarder
-from repro.apps.ipv6 import IPv6Forwarder
+from repro.apps import REGISTRY, build_app
 from repro.apps.lookup_only import (
     cpu_ipv6_lookup_rate_pps,
     gpu_crossover_batch,
     gpu_ipv6_lookup_rate_pps,
 )
-from repro.apps.openflow import OpenFlowApp
 from repro.calib.constants import SYSTEM
-from repro.gen.workloads import (
-    ipsec_workload,
-    ipv4_workload,
-    ipv6_workload,
-    openflow_workload,
-)
 from repro.io_engine.engine import io_throughput_report
 from repro.sim.metrics import gbps_to_pps
 
@@ -47,15 +38,7 @@ def _line(label: str, paper: str, measured: str) -> None:
 
 def main(argv=None) -> int:
     """Print the headline comparison table."""
-    routes = 5_000  # small tables: the cost models don't depend on size
-    apps = {
-        "ipv4": IPv4Forwarder(ipv4_workload(num_routes=routes).table),
-        "ipv6": IPv6Forwarder(ipv6_workload(num_routes=routes).table),
-        "openflow": OpenFlowApp(
-            openflow_workload(num_exact=2048, num_wildcard=32).switch
-        ),
-        "ipsec": IPsecGateway(ipsec_workload().sa),
-    }
+    apps = {name: build_app(name)[0] for name in REGISTRY}
 
     print("PacketShader reproduction — headline numbers")
     print("=" * 78)
@@ -150,19 +133,9 @@ def _traced_run(args) -> "PacketShader":
     reset_tracer()
     reset_flightrec()
     reset_profiler()
-    routes = 5_000
-    if args.app == "ipv6":
-        workload = ipv6_workload(num_routes=routes, seed=args.seed)
-        app = IPv6Forwarder(workload.table)
-        frame_len = args.frame_len or 78
-        frames = workload.generator.ipv6_burst(args.packets, frame_len)
-    else:
-        workload = ipv4_workload(num_routes=routes, seed=args.seed)
-        app = IPv4Forwarder(workload.table)
-        frame_len = args.frame_len or 64
-        frames = workload.generator.ipv4_burst(args.packets, frame_len)
+    app, burst = build_app(args.app, seed=args.seed)
     router = PacketShader(app, RouterConfig(use_gpu=not args.cpu_only))
-    router.process_frames(frames)
+    router.process_frames(burst(args.packets, args.frame_len))
     return router
 
 

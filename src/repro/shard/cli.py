@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1, help="workload seed")
     parser.add_argument(
         "--num-routes", type=int, default=5_000, metavar="N",
-        help="routing-table size (default 5000)",
+        help="routing-table size (default 5000); with --app ipv4, 0 means "
+             "the full 282,797-prefix RouteViews-shaped table",
     )
     parser.add_argument(
         "--dump-dir", default=None, metavar="DIR",

@@ -49,6 +49,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.apps import build_app
 from repro.calib.constants import SYSTEM
 from repro.core.chunk import Chunk
 from repro.core.config import RouterConfig
@@ -179,7 +180,11 @@ def scatter_chunk(result_queue, chunk) -> None:
     close without a ``BufferError``.  Every other chunk is serialized
     *from* its store; releasing it here would race the pickle and
     silently ship empty frames.
+
+    The gathered input is cleared *before* ``put()``: the worker only
+    reads ``gpu_output``, so the H2D copy does not ride back with it.
     """
+    chunk.gpu_input = None
     result_queue.put(chunk)
     if chunk.in_slot:
         chunk.release_store()
@@ -210,36 +215,8 @@ def _build_app(spec: PlaneSpec) -> Tuple[object, Callable[[], List[bytearray]]]:
     all shards is exactly the unsharded stream.  Frames have the app's
     natural minimum length (64 B, 78 B for IPv6).
     """
-    if spec.app == "ipv6":
-        from repro.apps.ipv6 import IPv6Forwarder
-        from repro.gen.workloads import ipv6_workload
-
-        workload = ipv6_workload(num_routes=spec.num_routes, seed=spec.seed)
-        return (
-            IPv6Forwarder(workload.table),
-            lambda: workload.generator.ipv6_burst(spec.packets, 78),
-        )
-    if spec.app == "openflow":
-        from repro.apps.openflow import OpenFlowApp
-        from repro.gen.workloads import openflow_workload
-
-        workload = openflow_workload(
-            num_exact=2048, num_wildcard=32, seed=spec.seed
-        )
-        return (
-            OpenFlowApp(workload.switch),
-            lambda: workload.generator.ipv4_burst(spec.packets, 64),
-        )
-    if spec.app == "ipv4":
-        from repro.apps.ipv4 import IPv4Forwarder
-        from repro.gen.workloads import ipv4_workload
-
-        workload = ipv4_workload(num_routes=spec.num_routes, seed=spec.seed)
-        return (
-            IPv4Forwarder(workload.table),
-            lambda: workload.generator.ipv4_burst(spec.packets, 64),
-        )
-    raise ValueError(f"unknown app {spec.app!r}")
+    app, burst = build_app(spec.app, spec.num_routes, spec.seed)
+    return app, lambda: burst(spec.packets)
 
 
 def _run_shard(spec: PlaneSpec, worker_id: int,

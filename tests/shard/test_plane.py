@@ -279,6 +279,45 @@ class TestScatter:
             pool.close()
             pool.unlink()
 
+    @pytest.mark.parametrize("in_slot", [False, True], ids=["heap", "slot"])
+    @pytest.mark.parametrize("name", ["ipv4", "openflow"])
+    def test_gathered_input_does_not_ride_back(self, name, in_slot):
+        """The worker reads only ``gpu_output`` and ``app_state``: the
+        H2D input is cleared before ``put()``, so the feeder thread's
+        later pickle cannot carry it whichever wire form the chunk
+        takes — and the clone is smaller for it, also for OpenFlow,
+        whose input *is* its ``app_state``."""
+        from repro.apps import build_app
+        from repro.shard.pool import ShmChunkPool
+
+        app, burst = build_app(name, 64, seed=3)
+        frames = burst(256)  # enough objects to outgrow pickle's short memo
+        pool = ShmChunkPool.create(
+            f"rt-scatter-{os.getpid()}-{next(_SCATTER_SEQ)}",
+            slots=2, slot_bytes=32 * 1024, allocator=True,
+        ) if in_slot else None
+        try:
+            queue = _FeederQueue()
+            chunk = pool.build_chunk(frames) if in_slot else Chunk(frames)
+            assert chunk.in_slot == in_slot
+            chunk.gpu_input = work = app.pre_shade(chunk)
+            chunk.gpu_output = work.spec.fn(*work.args)
+            with_input = len(pickle.dumps(chunk))
+            scatter_chunk(queue, chunk)
+            blob = pickle.dumps(queue.items[0])
+            clone = pickle.loads(blob)
+            assert clone.gpu_input is None
+            for intact in ("gpu_output", "app_state"):
+                assert pickle.dumps(getattr(clone, intact)) == pickle.dumps(
+                    getattr(chunk, intact)
+                )
+            assert len(blob) < with_input
+            clone = None
+        finally:
+            if pool is not None:
+                pool.close()
+                pool.unlink()
+
 
 _SCATTER_SEQ = itertools.count()
 
