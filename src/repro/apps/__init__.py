@@ -25,48 +25,72 @@ from repro.apps.lookup_only import (
 )
 from repro.core.application import RouterApplication
 from repro.gen import workloads
+from repro.gen.packetgen import PacketGenerator
 
-#: The one name -> application mapping: (workload constructor over
-#: ``(num_routes, seed)``, application over that workload, the
-#: ``PacketGenerator`` method drawing its traffic, natural frame length).
+#: The one name -> application mapping: (its read-only forwarding table
+#: over ``(num_routes, seed)``, or None where all its state is per
+#: instance; the application over ``(table, seed)``; the
+#: ``PacketGenerator`` method drawing its traffic; natural frame length).
 REGISTRY = {
     "ipv4": (
-        lambda routes, seed: workloads.ipv4_workload(routes, seed=seed),
-        lambda workload: IPv4Forwarder(workload.table), "ipv4_burst", 64,
+        lambda routes, seed: workloads.ipv4_table(routes, seed=seed),
+        lambda table, seed: IPv4Forwarder(table), "ipv4_burst", 64,
     ),
     "ipv6": (
-        lambda routes, seed: workloads.ipv6_workload(routes, seed=seed),
-        lambda workload: IPv6Forwarder(workload.table), "ipv6_burst", 78,
+        lambda routes, seed: workloads.ipv6_table(routes, seed=seed),
+        lambda table, seed: IPv6Forwarder(table), "ipv6_burst", 78,
     ),
     "openflow": (
-        lambda routes, seed: workloads.openflow_workload(
+        None,
+        lambda table, seed: OpenFlowApp(workloads.openflow_workload(
             num_exact=2048, num_wildcard=32, seed=seed
-        ),
-        lambda workload: OpenFlowApp(workload.switch), "ipv4_burst", 64,
+        ).switch), "ipv4_burst", 64,
     ),
     "ipsec": (
-        lambda routes, seed: workloads.ipsec_workload(seed),
-        lambda workload: IPsecGateway(workload.sa), "ipv4_burst", 64,
+        None,
+        lambda table, seed: IPsecGateway(workloads.ipsec_workload(seed).sa),
+        "ipv4_burst", 64,
     ),
 }
+
+
+def _entry(name: str):
+    if name not in REGISTRY:
+        raise ValueError(f"unknown app {name!r}")
+    return REGISTRY[name]
+
+
+def build_table(name: str, num_routes: int = 5_000, seed: int = 42):
+    """The read-only forwarding table of a registered app, or None.
+
+    The table is what one process builds and every instance of the app
+    may share (a forked plane's workers and master read one copy); it
+    binds no observability handle.  The default is small (the cost
+    models don't depend on its size); ``num_routes=0`` is the full
+    RouteViews-shaped IPv4 table."""
+    make_table = _entry(name)[0]
+    return make_table(num_routes, seed) if make_table else None
+
+
+def app_over(
+    name: str, table, seed: int = 42
+) -> Tuple[RouterApplication, Callable[..., List[bytearray]]]:
+    """``(application, burst)`` over a :func:`build_table` table,
+    deterministic in ``seed``; ``burst(packets, frame_len=None)`` draws
+    the app's traffic at its natural minimum frame length unless told
+    otherwise."""
+    _, make_app, burst, natural_len = _entry(name)
+    draw = getattr(PacketGenerator(seed), burst)
+    return make_app(table, seed), lambda packets, frame_len=None: draw(
+        packets, frame_len or natural_len
+    )
 
 
 def build_app(
     name: str, num_routes: int = 5_000, seed: int = 42
 ) -> Tuple[RouterApplication, Callable[..., List[bytearray]]]:
-    """``(application, burst)`` for a registered name, deterministic in
-    ``seed``; ``burst(packets, frame_len=None)`` draws the app's traffic
-    at its natural minimum frame length unless told otherwise.  The
-    default table is small (the cost models don't depend on its size);
-    ``num_routes=0`` is the full RouteViews-shaped IPv4 table."""
-    if name not in REGISTRY:
-        raise ValueError(f"unknown app {name!r}")
-    make_workload, make_app, burst, natural_len = REGISTRY[name]
-    workload = make_workload(num_routes, seed)
-    draw = getattr(workload.generator, burst)
-    return make_app(workload), lambda packets, frame_len=None: draw(
-        packets, frame_len or natural_len
-    )
+    """:func:`app_over` a freshly built table."""
+    return app_over(name, build_table(name, num_routes, seed), seed)
 
 
 __all__ = [
@@ -76,7 +100,9 @@ __all__ = [
     "IPv6Forwarder",
     "OpenFlowApp",
     "REGISTRY",
+    "app_over",
     "build_app",
+    "build_table",
     "cpu_ipv6_lookup_rate_pps",
     "gpu_ipv6_lookup_rate_pps",
 ]

@@ -11,11 +11,17 @@ import random
 from dataclasses import dataclass
 from typing import List
 
+import numpy as np
+
 from repro.crypto.esp import SecurityAssociation
 from repro.gen.packetgen import PacketGenerator
 from repro.lookup.dir24_8 import Dir24_8
 from repro.lookup.ipv6_bsearch import IPv6BinarySearch
-from repro.lookup.routeviews import random_ipv6_table, synthetic_bgp_table
+from repro.lookup.routeviews import (
+    ROUTEVIEWS_PREFIX_COUNT,
+    random_ipv6_table,
+    synthetic_bgp_table,
+)
 from repro.openflow.actions import Action, ActionType
 from repro.openflow.flowkey import FlowKey, VLAN_NONE
 from repro.openflow.flowtable import WildcardEntry
@@ -34,20 +40,30 @@ class IPv4Workload:
     num_routes: int
 
 
-def ipv4_workload(
+def ipv4_table(
     num_routes: int = 0, num_ports: int = 8, seed: int = 42
-) -> IPv4Workload:
-    """The Section 6.2.1 setup.  ``num_routes=0`` means the full
-    RouteViews count (282,797); tests pass smaller counts."""
-    routes = (
-        synthetic_bgp_table(num_next_hops=num_ports, seed=seed)
-        if num_routes == 0
-        else synthetic_bgp_table(num_routes, num_ports, seed)
+) -> Dir24_8:
+    """The Section 6.2.1 FIB.  ``num_routes=0`` means the full RouteViews
+    count (282,797); tests pass smaller counts."""
+    # Route columns, so the tuple list is garbage before the 32 MB tbl24
+    # is allocated.
+    routes = np.array(
+        synthetic_bgp_table(num_routes or ROUTEVIEWS_PREFIX_COUNT,
+                            num_ports, seed),
+        dtype=np.int64,
     )
     table = Dir24_8()
     table.add_routes(routes)
+    return table
+
+
+def ipv4_workload(
+    num_routes: int = 0, num_ports: int = 8, seed: int = 42
+) -> IPv4Workload:
+    """The Section 6.2.1 setup: :func:`ipv4_table` and its traffic."""
+    table = ipv4_table(num_routes, num_ports, seed)
     return IPv4Workload(table=table, generator=PacketGenerator(seed),
-                        num_routes=len(routes))
+                        num_routes=len(table))
 
 
 @dataclass
@@ -59,16 +75,23 @@ class IPv6Workload:
     num_routes: int
 
 
+def ipv6_table(
+    num_routes: int = 200_000, num_ports: int = 8, seed: int = 42
+) -> IPv6BinarySearch:
+    """The Section 6.2.2 table: randomly generated prefixes, sized to
+    defeat CPU caches."""
+    table = IPv6BinarySearch()
+    table.build(random_ipv6_table(num_routes, num_ports, seed))
+    return table
+
+
 def ipv6_workload(
     num_routes: int = 200_000, num_ports: int = 8, seed: int = 42
 ) -> IPv6Workload:
-    """The Section 6.2.2 setup: randomly generated prefixes, sized to
-    defeat CPU caches."""
-    routes = random_ipv6_table(num_routes, num_ports, seed)
-    table = IPv6BinarySearch()
-    table.build(routes)
-    return IPv6Workload(table=table, generator=PacketGenerator(seed),
-                        num_routes=len(routes))
+    """The Section 6.2.2 setup: :func:`ipv6_table` and its traffic."""
+    return IPv6Workload(table=ipv6_table(num_routes, num_ports, seed),
+                        generator=PacketGenerator(seed),
+                        num_routes=num_routes)
 
 
 @dataclass

@@ -13,11 +13,17 @@ vectorised gather over these arrays.
 Encoding (as in the original paper): ``tbl24`` entries with the top bit
 clear hold a next hop directly; with the top bit set, the low 15 bits are
 the index of a 256-entry block in ``tbl_long``.
+
+Construction is control-plane work, done once: an empty table is built
+in bulk, one vectorised paint per prefix length (:meth:`Dir24_8._paint`).
+Routes added to a built table are updates, applied one at a time by
+:meth:`Dir24_8._insert` — the per-route oracle the bulk build is tested
+against, byte for byte.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -27,12 +33,35 @@ _LONG_FLAG = 0x8000
 _MAX_BLOCKS = 0x7FFF
 
 
+def _validate(prefix: int, length: int, next_hop: int) -> None:
+    """Raise for the first check one route fails, in the oracle's order."""
+    if not 0 <= length <= 32:
+        raise ValueError(f"IPv4 prefix length {length} out of range")
+    if not 0 <= prefix < (1 << 32):
+        raise ValueError("prefix out of IPv4 range")
+    if length < 32 and prefix & ((1 << (32 - length)) - 1):
+        raise ValueError(f"{prefix:#x}/{length} has host bits set")
+    if not 0 <= next_hop < NO_ROUTE:
+        raise ValueError(f"next hop {next_hop} does not fit in 15 bits")
+
+
+def _paint_rows(table, cells, hops, bounds, span) -> None:
+    """Set the ``2**span``-cell rows starting at ``cells[lo:hi]`` to
+    ``hops[lo:hi]``; of two routes for one row the later wins."""
+    lo, hi = bounds
+    if lo < hi:
+        rows, last = np.unique(cells[lo:hi][::-1] >> span, return_index=True)
+        table.reshape(-1, 1 << span)[rows] = hops[lo:hi][::-1][last, None]
+
+
 class Dir24_8:
     """The two-level DIR-24-8-BASIC table."""
 
     def __init__(self) -> None:
         self.tbl24 = np.full(1 << 24, NO_ROUTE, dtype=np.uint16)
         self.tbl_long = np.zeros(0, dtype=np.uint16)
+        #: ``tbl_long``'s 256-entry rows once built; :meth:`_insert`
+        #: writes them in place and appends new blocks.
         self._blocks: List[np.ndarray] = []
         self._routes = 0
         self._built = False
@@ -45,28 +74,101 @@ class Dir24_8:
         """Footprint of both tables (the paper's 32 MB + spillover)."""
         return self.tbl24.nbytes + 256 * 2 * len(self._blocks)
 
-    def add_routes(self, routes: Iterable[Tuple[int, int, int]]) -> None:
-        """Bulk-insert (prefix, length, next_hop) routes and build.
+    def add_routes(
+        self, routes: Union[Iterable[Tuple[int, int, int]], np.ndarray]
+    ) -> None:
+        """Insert (prefix, length, next_hop) routes and build.
 
-        Routes are applied in ascending length order so longer prefixes
-        overwrite shorter ones in their covered range — the standard
-        DIR-24-8 construction.  Next hops must fit in 15 bits and must
+        ``routes`` is an iterable of triples or an ``(n, 3)`` integer
+        array.  Routes apply in ascending length order, so longer
+        prefixes overwrite shorter ones in their covered range — the
+        standard DIR-24-8 construction — and of two routes for one
+        prefix the later wins.  Next hops must fit in 15 bits and must
         not equal the NO_ROUTE sentinel.
+
+        An empty table is painted in bulk; a table holding routes takes
+        them as updates, one :meth:`_insert` each.  Both leave the same
+        bytes and raise the same errors.
         """
-        ordered = sorted(routes, key=lambda r: r[1])
-        for prefix, length, next_hop in ordered:
+        if not isinstance(routes, np.ndarray):
+            routes = list(routes)
+        if not self._routes and len(routes):
+            try:
+                columns = np.asarray(routes, dtype=np.int64)
+            except OverflowError:
+                pass  # past int64 is out of range: _insert names the route
+            else:
+                self._paint(columns)
+                return
+        self._insert_all(routes)
+
+    def _insert_all(self, routes) -> None:
+        """Route by route, stable in ascending length: the update path,
+        and on an empty table the oracle for :meth:`_paint`."""
+        if isinstance(routes, np.ndarray):
+            routes = routes.tolist()
+        for prefix, length, next_hop in sorted(routes, key=lambda r: r[1]):
             self._insert(prefix, length, next_hop)
-        self._finalize()
+        self._finalize(
+            np.concatenate(self._blocks) if self._blocks else self.tbl_long
+        )
+
+    def _paint(self, routes: np.ndarray) -> None:
+        """Build an empty table from ``(n, 3)`` int64 routes.
+
+        In :meth:`_insert`'s order (stable by length), each length ``L``
+        up to 24 is one assignment of whole rows of ``tbl24`` viewed as
+        ``(2**L, 2**(24 - L))``.  Every long block is then allocated at
+        once — the distinct ``/24`` s of the longer routes, numbered by
+        first appearance and seeded from the painted ``tbl24`` — and
+        lengths 25-32 paint rows of ``tbl_long`` the same way.
+        """
+        prefix, length, hop = routes.T
+        order = np.argsort(length, kind="stable")
+        prefix, length, hop = prefix[order], length[order], hop[order]
+        host_mask = (1 << np.clip(32 - length, 0, 32)) - 1
+        bad = (
+            (length < 0) | (length > 32)
+            | (prefix < 0) | (prefix >= 1 << 32)
+            | ((prefix & host_mask) != 0)
+            | (hop < 0) | (hop >= NO_ROUTE)
+        )
+        # _insert raises at the first bad route or at the block that
+        # overflows, whichever comes first in its order.
+        stop = int(np.argmax(bad)) if bad.any() else len(bad)
+        edges = np.searchsorted(length[:stop], np.arange(34))
+        long24, first, inverse = np.unique(
+            prefix[edges[25]:stop] >> 8, return_index=True,
+            return_inverse=True,
+        )
+        if len(long24) > _MAX_BLOCKS:
+            raise MemoryError("tbl_long block space exhausted")
+        if stop < len(bad):
+            _validate(int(prefix[stop]), int(length[stop]), int(hop[stop]))
+
+        hop = hop.astype(np.uint16)
+        # Each route's first cell: a tbl24 index, or a tbl_long one for
+        # the long routes once their blocks are numbered.
+        cells = prefix >> 8
+        for bits in range(25):
+            _paint_rows(self.tbl24, cells, hop, edges[bits:bits + 2],
+                        24 - bits)
+        by_first = np.argsort(first)
+        block_of = np.empty_like(by_first)
+        block_of[by_first] = np.arange(len(long24))
+        long24 = long24[by_first]
+        tbl_long = np.repeat(self.tbl24[long24], 256)
+        self.tbl24[long24] = np.arange(len(long24), dtype=np.uint16) | _LONG_FLAG
+        cells[edges[25]:] = (block_of[inverse] << 8) | (
+            prefix[edges[25]:] & 0xFF
+        )
+        for bits in range(25, 33):
+            _paint_rows(tbl_long, cells, hop, edges[bits:bits + 2], 32 - bits)
+        self._routes = len(routes)
+        self._finalize(tbl_long)
 
     def _insert(self, prefix: int, length: int, next_hop: int) -> None:
-        if not 0 <= length <= 32:
-            raise ValueError(f"IPv4 prefix length {length} out of range")
-        if not 0 <= prefix < (1 << 32):
-            raise ValueError("prefix out of IPv4 range")
-        if length < 32 and prefix & ((1 << (32 - length)) - 1):
-            raise ValueError(f"{prefix:#x}/{length} has host bits set")
-        if not 0 <= next_hop < NO_ROUTE:
-            raise ValueError(f"next hop {next_hop} does not fit in 15 bits")
+        _validate(prefix, length, next_hop)
         self._routes += 1
         if length <= 24:
             start = prefix >> 8
@@ -95,12 +197,10 @@ class Dir24_8:
             span = 1 << (32 - length)
             block[low:low + span] = next_hop
 
-    def _finalize(self) -> None:
-        """Concatenate blocks into the flat second-level array."""
-        if self._blocks:
-            self.tbl_long = np.concatenate(self._blocks)
-        else:
-            self.tbl_long = np.zeros(0, dtype=np.uint16)
+    def _finalize(self, tbl_long: np.ndarray) -> None:
+        """Install the flat second-level array; its rows are the blocks."""
+        self.tbl_long = tbl_long
+        self._blocks = list(tbl_long.reshape(-1, 256))
         self._built = True
 
     def lookup(self, addr: int) -> Tuple[Optional[int], int]:

@@ -56,23 +56,19 @@ BGP_LENGTH_DISTRIBUTION: Dict[int, float] = {
 
 
 def _unique_prefixes(
-    rng: random.Random,
-    count: int,
-    length: int,
-    width: int,
-    seen: set,
+    rng: random.Random, count: int, length: int, width: int
 ) -> List[int]:
     """Draw ``count`` distinct left-aligned prefixes of one length."""
     space = 1 << length
     if count > space:
         raise ValueError(f"cannot draw {count} unique /{length} prefixes")
     out = []
+    seen = set()
     while len(out) < count:
         value = rng.getrandbits(length) << (width - length)
-        key = (value, length)
-        if key in seen:
+        if value in seen:
             continue
-        seen.add(key)
+        seen.add(value)
         out.append(value)
     return out
 
@@ -94,7 +90,6 @@ def synthetic_bgp_table(
     rng = random.Random(seed)
     total_weight = sum(BGP_LENGTH_DISTRIBUTION.values())
     routes: List[Tuple[int, int, int]] = []
-    seen: set = set()
     lengths = sorted(BGP_LENGTH_DISTRIBUTION)
     for index, length in enumerate(lengths):
         if index == len(lengths) - 1:
@@ -104,7 +99,7 @@ def synthetic_bgp_table(
                 count * BGP_LENGTH_DISTRIBUTION[length] / total_weight
             )
         per_length = min(per_length, 1 << length)
-        for prefix in _unique_prefixes(rng, per_length, length, 32, seen):
+        for prefix in _unique_prefixes(rng, per_length, length, 32):
             routes.append((prefix, length, rng.randrange(num_next_hops)))
     return routes
 

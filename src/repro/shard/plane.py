@@ -18,15 +18,21 @@ router makes over PCIe.
 
 Topology and protocol:
 
+* the parent builds the application's read-only forwarding table once,
+  before it forks, and hands that one instance to every worker as a
+  ``Process`` argument (inherited copy-on-write under ``fork``, pickled
+  under ``spawn``) and to its own master step — no process rebuilds it;
 * the parent creates every shared segment up front (metric slabs,
   chunk pools) and owns their unlink — the PR 9 fleet lifecycle;
 * one shared ``submit_queue`` carries chunks worker -> master (the
   paper's fairness FIFO), per-worker ``result_queues`` carry them back
   (the scatter side's 1-to-1 queues);
-* each worker regenerates the *full* deterministic ingress stream from
-  the spec's seed, burst by burst, and keeps only its shard's frames —
-  the software analogue of every RSS engine hashing every arriving
-  packet exactly once;
+* each worker builds its own application over the shared table — and
+  with it every observability handle (generator counters, flow-table
+  counters), after its obs stack is attached — then regenerates the
+  *full* deterministic ingress stream from the spec's seed, burst by
+  burst, and keeps only its shard's frames: the software analogue of
+  every RSS engine hashing every arriving packet exactly once;
 * a worker signals completion with a ``("done", worker_id)`` sentinel
   after a blocking transport flush, then reports its totals on the
   report queue; the master exits once every worker is done and the
@@ -49,7 +55,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.apps import build_app
+from repro.apps import app_over, build_table
 from repro.calib.constants import SYSTEM
 from repro.core.chunk import Chunk
 from repro.core.config import RouterConfig
@@ -206,20 +212,27 @@ def _worker_config() -> RouterConfig:
     )
 
 
-def _build_app(spec: PlaneSpec) -> Tuple[object, Callable[[], List[bytearray]]]:
-    """(application, burst function) for a spec — deterministic in seed.
+def _build_table(spec: PlaneSpec):
+    """The spec's read-only forwarding table (None for apps without
+    one) — built once per plane, never per shard."""
+    return build_table(spec.app, spec.num_routes, spec.seed)
 
-    Every shard calls this with the *same* seed: identical tables,
-    identical full frame stream.  Per-shard traffic comes from the
-    ShardMap partition, never from per-worker seeds, so the union of
-    all shards is exactly the unsharded stream.  Frames have the app's
-    natural minimum length (64 B, 78 B for IPv6).
+
+def _build_app(spec: PlaneSpec, table) -> Tuple[object, Callable[[], List[bytearray]]]:
+    """(application, burst function) over the plane's table.
+
+    Every shard calls this with the *same* seed: identical full frame
+    stream.  Per-shard traffic comes from the ShardMap partition, never
+    from per-worker seeds, so the union of all shards is exactly the
+    unsharded stream.  Frames have the app's natural minimum length
+    (64 B, 78 B for IPv6).  Everything that binds an observability
+    handle is built here, in the process that runs the shard.
     """
-    app, burst = build_app(spec.app, spec.num_routes, spec.seed)
+    app, burst = app_over(spec.app, table, spec.seed)
     return app, lambda: burst(spec.packets)
 
 
-def _run_shard(spec: PlaneSpec, worker_id: int,
+def _run_shard(spec: PlaneSpec, worker_id: int, table,
                pool: Optional[ShmChunkPool] = None,
                transport: Optional[RemoteMasterClient] = None) -> WorkerReport:
     """The shard loop: one shard's share of the stream through one router.
@@ -233,7 +246,7 @@ def _run_shard(spec: PlaneSpec, worker_id: int,
     frame on the same shard.  With a ``transport`` the master is another
     process; without one it is the router's own.
     """
-    app, burst_fn = _build_app(spec)
+    app, burst_fn = _build_app(spec, table)
     router = PacketShader(app, config=_worker_config(), transport=transport)
     # Chunks keep the router-local worker id 0 (the process *is* the
     # worker); the transport stamps the shard id on what it submits.
@@ -274,9 +287,10 @@ def _run_shard(spec: PlaneSpec, worker_id: int,
     )
 
 
-def _plane_worker_main(session: str, worker_id: int, spec: PlaneSpec,
+def _plane_worker_main(session: str, worker_id: int, spec: PlaneSpec, table,
                        submit_queue, result_queue, report_queue) -> None:
-    """One worker process: obs stack, pool, transport, the shard loop."""
+    """One worker process: obs stack, pool, transport, the shard loop
+    over the parent's table."""
     with worker_obs(session, worker_id, spec.dump_dir,
                     f"shard-worker-{worker_id}"):
         pool = ShmChunkPool.attach(
@@ -287,7 +301,7 @@ def _plane_worker_main(session: str, worker_id: int, spec: PlaneSpec,
                 submit_queue, result_queue, worker_id,
                 max_in_flight=pool.nslots, pool=pool,
             )
-            report = _run_shard(spec, worker_id, pool, transport)
+            report = _run_shard(spec, worker_id, table, pool, transport)
             transport.finish()
             report_queue.put(report)
         finally:
@@ -308,6 +322,10 @@ class ShardedDataPlane:
         if spec.workers < 1:
             raise ValueError("workers must be >= 1")
         self.spec = spec
+        #: The one table of this plane: every worker and the master step
+        #: read this instance.  Built before any segment exists, and
+        #: free of observability handles, so it can cross the fork.
+        self.table = _build_table(spec)
         self.session = worker_session("repro-shard")
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
@@ -355,8 +373,9 @@ class ShardedDataPlane:
         for wid in range(self.spec.workers):
             proc = self._ctx.Process(
                 target=_plane_worker_main,
-                args=(self.session, wid, self.spec, self.submit_queue,
-                      self.result_queues[wid], self.report_queue),
+                args=(self.session, wid, self.spec, self.table,
+                      self.submit_queue, self.result_queues[wid],
+                      self.report_queue),
                 name=f"repro-shard-{wid}",
                 daemon=True,
             )
@@ -370,17 +389,17 @@ class ShardedDataPlane:
         get, then whatever else is already queued up to the configured
         gather width — so GPU batching adapts to load exactly like the
         in-process master's ``get_batch``.  Each gather is rebound to
-        this process's tables and handed whole to
+        the plane's table and handed whole to
         ``PacketShader.shade_batch``, the same master step the
         in-process master runs: one kernel call for the gather, one
         modelled launch per chunk.
         """
         # The master's own application instance plays the role of GPU
         # device memory: kernels arrive stripped of their callables
-        # (GPUWorkItem.__getstate__) and rebind against the tables held
-        # here — identical copies, built from the same seed.  Its
+        # (GPUWorkItem.__getstate__) and rebind against the plane's
+        # table — the very instance the workers were handed.  Its
         # router runs no workers; it is here for the master step.
-        app, _ = _build_app(self.spec)
+        app, _ = _build_app(self.spec, self.table)
         master = PacketShader(app, config=_worker_config())
         gather = master.config.effective_gather_chunks()
         done: set = set()
@@ -490,17 +509,19 @@ def run_plane(spec: PlaneSpec) -> PlaneReport:
 def run_plane_inprocess(spec: PlaneSpec) -> PlaneReport:
     """The sequential reference: same shards, one process, no queues.
 
-    Runs :func:`_run_shard` for each shard in turn, each with its own
-    application instance (per-shard state such as the OpenFlow flow
-    table stays separate, as it does across processes) and the
+    Builds the table once, as the forked plane does, then runs
+    :func:`_run_shard` for each shard in turn, each with its own
+    application instance over it (per-shard state such as the OpenFlow
+    flow table stays separate, as it does across processes) and the
     router's in-process master.  The differential suite asserts the
     multi-process plane matches this packet for packet — same verdict
     totals, same per-port egress counts.
     """
+    table = _build_table(spec)
     return PlaneReport(
         spec=spec,
         workers=[
-            replace(_run_shard(spec, wid), exitcode=0)
+            replace(_run_shard(spec, wid, table), exitcode=0)
             for wid in range(spec.workers)
         ],
         injected=spec.bursts * spec.packets,

@@ -525,10 +525,12 @@ class TestBenchmarkShape:
 
 class TestForkedMaster:
     def test_serve_master_gathers_and_attributes_launches(self):
-        from repro.shard.plane import PlaneSpec, ShardedDataPlane, _build_app
+        from repro.shard.plane import (
+            PlaneSpec, ShardedDataPlane, _build_app, _build_table,
+        )
 
         spec = PlaneSpec(app="ipv4", workers=2, num_routes=500, seed=3)
-        app, burst = _build_app(spec)
+        app, burst = _build_app(spec, _build_table(spec))
         frames = burst()
         chunks = []
         for index, worker_id in enumerate((0, 1, 0)):

@@ -1,5 +1,8 @@
 """Synthetic table generators vs the paper's workload statistics."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.lookup.routeviews import (
@@ -49,6 +52,19 @@ class TestBGPTable:
             assert 0 <= prefix < (1 << 32)
             if length < 32:
                 assert prefix & ((1 << (32 - length)) - 1) == 0
+
+    @pytest.mark.parametrize("seed, digest", [
+        (1, "bcde5777df49a7b6d1115763d3e8342d77a6d370969de8a2ecbc9298a80d89c9"),
+        (2, "4d0aaee1ec71791af48b9a7f800d08217a924ebafd5c014be12db1c2935bc6a8"),
+        (3, "082918d7b64bb26fbff2919f78a6505cdac09e89154a358ae3c274859171b8f5"),
+    ])
+    def test_full_table_bytes_are_pinned(self, seed, digest):
+        """The full table is a fixed byte string per seed: the benchmark's
+        labelled traffic and every ``BENCH_*.json`` are derived from it,
+        so the generator may get faster but never draw differently."""
+        routes = synthetic_bgp_table(num_next_hops=8, seed=seed)
+        blob = np.asarray(routes, dtype="<u4").tobytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -83,7 +83,7 @@ class TestShardMap:
         burst: per-shard ingress matches an independent partition of
         the same seeded stream, and the shards add up to the stream."""
         spec = small_spec(seed=2)
-        _, burst_fn = plane._build_app(spec)
+        _, burst_fn = plane._build_app(spec, plane._build_table(spec))
         shard_map = ShardMap(spec.workers)
         expected = [0] * spec.workers
         for _ in range(spec.bursts):
@@ -191,18 +191,35 @@ class TestDifferential:
         )
 
 
+class TestWorkerObservability:
+    def test_every_worker_counts_its_own_generation(self):
+        """Each worker regenerates the full stream into its own slab:
+        2 workers x 3 bursts x 256 packets is 1536 generated frames in
+        the aggregate.  A generator built before the fork would count
+        into the parent's registry instead, and this would read 0."""
+        spec = PlaneSpec(
+            app="ipv4", workers=2, packets=256, bursts=3, seed=1,
+            num_routes=1024,
+        )
+        with ShardedDataPlane(spec) as sharded:
+            report = sharded.run()
+            merged = sharded.aggregate()
+        assert report.conservation_ok
+        assert merged.counter(names.GEN_FRAMES, family="ipv4").value == 1536
+
+
 class TestOnce:
-    """Each fact is computed once per shard: one application build,
-    one Toeplitz hash per packet."""
+    """Each fact is computed once: one table per plane, one application
+    build per shard, one Toeplitz hash per packet."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = {"build": 0, "toeplitz": 0}
         build_app, toeplitz = plane._build_app, RSSHasher.toeplitz
 
-        def counting_build(spec):
+        def counting_build(*args):
             counts["build"] += 1
-            return build_app(spec)
+            return build_app(*args)
 
         def counting_toeplitz(self, data):
             counts["toeplitz"] += 1
@@ -223,6 +240,43 @@ class TestOnce:
     def test_one_app_per_shard(self, calls):
         run_plane_inprocess(small_spec(workers=2))
         assert calls["build"] == 2
+
+    def test_one_table_per_plane(self, monkeypatch, tmp_path):
+        """The parent builds the table once, before it forks; the
+        workers and the master step read that instance.  Every build
+        appends its pid to a file, so one in a worker would show."""
+        log = tmp_path / "table-builds"
+        build_table = plane._build_table
+
+        def logging_build(spec):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return build_table(spec)
+
+        monkeypatch.setattr(plane, "_build_table", logging_build)
+        assert run_plane(small_spec(workers=2)).conservation_ok
+        assert log.read_text().split() == [str(os.getpid())]
+        run_plane_inprocess(small_spec(workers=2))
+        assert log.read_text().split() == [str(os.getpid())] * 2
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+    def test_spawned_workers_unpickle_the_table(self, monkeypatch):
+        """Under ``spawn`` the same ``Process`` argument is pickled
+        instead of inherited: the run still equals the reference and
+        leaves no segment behind."""
+        monkeypatch.setattr(
+            plane.multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        spec = small_spec(workers=2)
+        with ShardedDataPlane(spec) as sharded:
+            assert sharded._ctx.get_start_method() == "spawn"
+            report = sharded.run()
+        single = run_plane_inprocess(spec)
+        assert all(w.exitcode == 0 for w in report.workers)
+        assert report.verdict_totals() == single.verdict_totals()
+        assert report.egress_totals() == single.egress_totals()
+        assert report.shm_fallbacks == 0
+        assert [n for n in os.listdir("/dev/shm") if sharded.session in n] == []
 
 
 class _FeederQueue:
