@@ -45,12 +45,6 @@ def chain_text(node: ast.AST) -> str:
     return " ".join(idents)
 
 
-def string_value(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
 def walk_functions(tree: ast.AST) -> Iterator[FunctionNode]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -66,13 +60,3 @@ def function_body_walk(fn: FunctionNode) -> Iterator[ast.AST]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         stack.extend(ast.iter_child_nodes(node))
-
-
-def call_args(call: ast.Call, keyword: str) -> Optional[ast.AST]:
-    """First positional argument, or the named keyword's value."""
-    if call.args:
-        return call.args[0]
-    for kw in call.keywords:
-        if kw.arg == keyword:
-            return kw.value
-    return None

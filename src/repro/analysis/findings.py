@@ -3,20 +3,20 @@
 A :class:`Finding` is the unit every rule emits: rule id, location,
 severity, one-line message, and a fix hint.  Findings carry a stable
 *fingerprint* — ``(rule, path, message)``, deliberately excluding the
-line number — so a committed baseline survives unrelated edits that
-shift lines.
+line number — so a SARIF alert tracks its finding across unrelated
+edits that shift lines.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 
 class Severity:
     """Finding severities (both fail the lint; WARNING marks findings
-    that indicate dead weight rather than wrong numbers)."""
+    that cost speed rather than wrong numbers)."""
 
     ERROR = "error"
     WARNING = "warning"
@@ -34,9 +34,6 @@ class Finding:
     message: str
     severity: str = Severity.ERROR
     hint: str = ""
-    #: Filled by the driver: the finding matched the committed baseline
-    #: (reported, but does not fail the lint).
-    baselined: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.severity not in Severity.ALL:
@@ -44,7 +41,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> Tuple[str, str, str]:
-        """Baseline identity: stable across line-number drift."""
+        """Alert identity: stable across line-number drift."""
         return (self.rule, self.path, self.message)
 
     @property
@@ -61,23 +58,7 @@ class Finding:
         }
         if self.hint:
             record["hint"] = self.hint
-        if self.baselined:
-            record["baselined"] = True
         return record
-
-    @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_dict` (the result cache's replay path).
-        The baseline flag is deliberately not restored: baselines are
-        re-applied fresh on every run."""
-        return cls(
-            rule=str(record["rule"]),
-            path=str(record["path"]),
-            line=int(record["line"]),
-            message=str(record["message"]),
-            severity=str(record.get("severity", Severity.ERROR)),
-            hint=str(record.get("hint", "")),
-        )
 
 
 def sort_findings(findings: Sequence[Finding]) -> List[Finding]:
@@ -90,18 +71,13 @@ def format_table(findings: Sequence[Finding]) -> str:
         return "reprolint: no findings"
     lines = []
     for finding in sort_findings(findings):
-        tag = " [baselined]" if finding.baselined else ""
         lines.append(
-            f"{finding.location}: {finding.severity}[{finding.rule}]{tag} "
+            f"{finding.location}: {finding.severity}[{finding.rule}] "
             f"{finding.message}"
         )
         if finding.hint:
             lines.append(f"    hint: {finding.hint}")
-    fresh = sum(1 for f in findings if not f.baselined)
-    lines.append(
-        f"reprolint: {len(findings)} finding(s), "
-        f"{fresh} new, {len(findings) - fresh} baselined"
-    )
+    lines.append(f"reprolint: {len(findings)} finding(s)")
     return "\n".join(lines)
 
 
@@ -110,13 +86,9 @@ def format_json(findings: Sequence[Finding], files_checked: int = 0) -> str:
     ordered = sort_findings(findings)
     payload = {
         "tool": "reprolint",
-        "version": 1,
+        "version": 2,
         "files_checked": files_checked,
-        "summary": {
-            "total": len(ordered),
-            "new": sum(1 for f in ordered if not f.baselined),
-            "baselined": sum(1 for f in ordered if f.baselined),
-        },
+        "summary": {"total": len(ordered)},
         "findings": [f.to_dict() for f in ordered],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

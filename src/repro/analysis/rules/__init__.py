@@ -57,13 +57,9 @@ def get_rule(rule_id: str) -> Rule:
 from repro.analysis.rules import (  # noqa: E402,F401
     rl001_determinism,
     rl002_accounting,
-    rl003_metric_names,
-    rl005_fault_sites,
     rl006_hot_loops,
-    rl007_wallclock,
     rl008_shared_state,
     rl009_buffer_escape,
-    rl010_pickle_safety,
     rl011_interproc_drops,
     rl012_shm_lifecycle,
 )

@@ -4,8 +4,9 @@ PacketShader's core lesson — and this reproduction's tentpole perf work
 — is that per-packet work must be amortized over batches.  The data
 plane carries packets structure-of-arrays (``FrameBatch`` buffers,
 ``Chunk`` disposition columns), so a Python ``for``/comprehension that
-iterates ``chunk.frames`` or a ``verdicts`` list inside ``apps/``,
-``core/``, or ``io_engine/`` is almost always a regression back to the
+iterates ``chunk.frames`` or a verdict column (``dispositions``,
+``out_ports``) inside ``apps/``, ``core/``, or ``io_engine/`` is almost
+always a regression back to the
 scalar formulation the batch layer replaced: classification, checksum
 verification, verdict application, and egress splitting all have
 vectorized equivalents.
@@ -29,15 +30,16 @@ from repro.analysis.rules import Rule, register
 #: Layers whose modules are on the data-plane hot path.
 HOT_PARTS = frozenset({"apps", "core", "io_engine"})
 #: Iterating one of these (as an attribute like ``chunk.frames`` or a
-#: bare local) marks a per-packet loop.
-BATCH_NAMES = frozenset({"frames", "verdicts"})
+#: bare local) marks a per-packet loop: the frames and the chunk's two
+#: verdict columns.
+BATCH_NAMES = frozenset({"frames", "dispositions", "out_ports"})
 
 
 def _batch_iterable(node: ast.AST) -> Optional[str]:
-    """The frames/verdicts reference inside an iterable expression.
+    """The frames/verdict-column reference inside an iterable expression.
 
     Catches the raw attribute (``chunk.frames``), wrapped forms
-    (``zip(chunk.frames, verdicts)``, ``enumerate(...)``), and
+    (``zip(chunk.frames, chunk.dispositions)``, ``enumerate(...)``), and
     bare locals holding the frame list (``for f in frames``).
     """
     for sub in ast.walk(node):
@@ -53,7 +55,7 @@ def _batch_iterable(node: ast.AST) -> Optional[str]:
 @register
 class HotLoopRule(Rule):
     rule_id = "RL006"
-    title = "hot-layer loops iterate frames/verdicts packet-at-a-time"
+    title = "hot-layer loops iterate frames/verdict columns packet-at-a-time"
 
     def check(self, project) -> Iterable[Finding]:
         for module in project.modules:

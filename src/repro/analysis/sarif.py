@@ -6,14 +6,10 @@ finding as an alert, rule metadata included.  The mapping is direct —
 one reprolint run becomes one SARIF ``run``, every registered rule
 becomes a ``reportingDescriptor``, every finding a ``result``.
 
-Two details matter for alert lifecycle stability:
-
-* ``partialFingerprints`` carries a hash of the reprolint fingerprint
-  (rule, path, message — no line number), so alerts track findings
-  across unrelated line drift exactly like the committed baseline does;
-* baselined findings are emitted with a ``suppressions`` entry rather
-  than dropped, so code scanning shows them as suppressed instead of
-  flapping closed/open when the baseline changes.
+``partialFingerprints`` carries a hash of the reprolint fingerprint
+(rule, path, message — no line number), so alerts track findings
+across unrelated line drift.  Findings waived inline never reach the
+log.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ def _rule_descriptor(rule: Rule) -> dict:
 
 
 def _result(finding: Finding) -> dict:
-    result = {
+    return {
         "ruleId": finding.rule,
         "level": _LEVELS.get(finding.severity, "warning"),
         "message": {
@@ -70,12 +66,6 @@ def _result(finding: Finding) -> dict:
             "reprolintFingerprint/v1": _fingerprint_hash(finding),
         },
     }
-    if finding.baselined:
-        result["suppressions"] = [{
-            "kind": "external",
-            "justification": "grandfathered in reprolint-baseline.json",
-        }]
-    return result
 
 
 def format_sarif(

@@ -1,9 +1,9 @@
 """The reprolint semantic engine: symbols, graphs, dataflow.
 
 Rules used to re-walk raw ASTs per file; the process-safety family
-(RL008-RL011) needs cross-file answers — what a name resolves to, which
-modules a fork would drag in, who calls whom, where a buffer view
-escapes.  :class:`ProjectSemantics` is the shared build phase the
+(RL008, RL009, RL011) needs cross-file answers — what a name resolves
+to, which modules a fork would drag in, who calls whom, where a buffer
+view escapes.  :class:`ProjectSemantics` is the shared build phase the
 driver attaches to :class:`repro.analysis.driver.Project` as
 ``project.semantics``: built lazily once per lint run, memoized
 per-function dataflow, queried by every rule.
@@ -15,8 +15,7 @@ Layers (bottom up, docs/STATIC_ANALYSIS.md "Engine architecture"):
 * :mod:`repro.analysis.semantics.graph` — module import graph
   (fork-reachability) and the resolved function call graph;
 * :mod:`repro.analysis.semantics.dataflow` — per-function def-use
-  chains, buffer-view taint with ownership roots, escape records, and
-  the annotation-driven :class:`~repro.analysis.semantics.dataflow.Typer`.
+  chains, buffer-view taint with ownership roots, escape records.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from repro.analysis.astutil import FunctionNode
 from repro.analysis.semantics.dataflow import (
     Escape,
     FunctionDataflow,
-    Typer,
     build_dataflow,
 )
 from repro.analysis.semantics.graph import CallGraph, ImportGraph, iter_functions
@@ -49,7 +47,6 @@ __all__ = [
     "ModuleSymbols",
     "ProjectSemantics",
     "SymbolTable",
-    "Typer",
     "build_dataflow",
     "iter_functions",
     "module_name",
@@ -78,14 +75,6 @@ class ProjectSemantics:
             cached = build_dataflow(fn, set(symbols.globals))
             self._dataflow[id(fn)] = cached
         return cached
-
-    def typer(
-        self, symbols: ModuleSymbols, cls_info: Optional[ClassInfo],
-        fn: FunctionNode,
-    ) -> Typer:
-        return Typer(
-            self.symbols, symbols, cls_info, self.dataflow(symbols, fn)
-        )
 
     def functions(
         self,

@@ -20,25 +20,15 @@ The ownership-root distinction is what keeps the analysis compositional
 ``bytearray`` it just joined is the *owner* and stays silent; an app
 stashing ``chunk.frames[0]`` on ``self`` is aliasing storage it does
 not own and is flagged.
-
-:class:`Typer` is the small inference engine on top: it maps an
-expression to the project classes it may hold, through parameter and
-return annotations, local constructor calls, attribute types seeded in
-``__init__``, and for-loop element binding (RL010's payload check).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.astutil import FunctionNode, dotted_name, function_body_walk
-from repro.analysis.semantics.symbols import (
-    ClassInfo,
-    ModuleSymbols,
-    SymbolTable,
-)
 
 #: Attributes that expose a chunk's backing frame storage.
 BUFFER_ATTRS = frozenset({"frames"})
@@ -84,7 +74,6 @@ class FunctionDataflow:
 
     fn: FunctionNode
     params: Set[str] = field(default_factory=set)
-    annotations: Dict[str, ast.expr] = field(default_factory=dict)
     #: name -> value expressions bound to it (def sites).
     assigns: Dict[str, List[ast.expr]] = field(default_factory=dict)
     #: name -> linenos of each binding.
@@ -113,8 +102,6 @@ def build_dataflow(
         list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
     ):
         df.params.add(arg.arg)
-        if arg.annotation is not None:
-            df.annotations[arg.arg] = arg.annotation
     for arg in (args.vararg, args.kwarg):
         if arg is not None:
             df.params.add(arg.arg)
@@ -169,7 +156,6 @@ def _record_bindings(df: FunctionDataflow, node: ast.AST) -> None:
                 call.func.value.id, []
             ).extend(call.args)
     elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        df.annotations.setdefault(node.target.id, node.annotation)
         _bind(df, node.target.id, node.value, node.lineno)
     elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
         _bind(df, node.target.id, node.value, node.lineno)
@@ -405,190 +391,3 @@ def _text(expr: ast.AST) -> str:
         return ast.unparse(expr)
     except Exception:  # pragma: no cover
         return "<expr>"
-
-
-# ----------------------------------------------------------------------
-# Type inference over the symbol table (what flows into a call site).
-# ----------------------------------------------------------------------
-
-
-class Typer:
-    """Best-effort expression typing against project classes.
-
-    Resolution sources, in order of preference: direct constructor
-    calls, parameter/variable annotations, return annotations of
-    resolved calls, attribute types seeded by ``self.attr = Ctor(...)``
-    or annotated class attributes, and for-loop element binding (the
-    element classes of the iterable's annotation).  Anything unresolved
-    yields no classes — rules consuming this must treat "unknown" as
-    "no finding".
-    """
-
-    MAX_DEPTH = 6
-
-    def __init__(
-        self,
-        table: SymbolTable,
-        symbols: ModuleSymbols,
-        cls_info: Optional[ClassInfo],
-        df: FunctionDataflow,
-    ) -> None:
-        self.table = table
-        self.symbols = symbols
-        self.cls_info = cls_info
-        self.df = df
-
-    def infer(self, expr: ast.AST, _depth: int = 0,
-              _seen: Optional[Set[str]] = None) -> List[ClassInfo]:
-        if _depth > self.MAX_DEPTH:
-            return []
-        seen = _seen if _seen is not None else set()
-        if isinstance(expr, ast.Name):
-            return self._infer_name(expr.id, _depth, seen)
-        if isinstance(expr, ast.Call):
-            return self._infer_call(expr, _depth, seen)
-        if isinstance(expr, ast.Attribute):
-            if isinstance(expr.value, ast.Name) and expr.value.id in (
-                "self", "cls"
-            ):
-                if self.cls_info is not None:
-                    return self.attr_classes(self.cls_info, expr.attr)
-                return []
-            classes: List[ClassInfo] = []
-            for info in self.infer(expr.value, _depth + 1, seen):
-                classes.extend(self.attr_classes(info, expr.attr))
-            return _dedupe(classes)
-        if isinstance(expr, ast.Subscript):
-            # Element access keeps the container's declared classes
-            # (annotation unwrapping already strips List/Dict/...).
-            return self.infer(expr.value, _depth + 1, seen)
-        return []
-
-    def _infer_name(
-        self, name: str, depth: int, seen: Set[str]
-    ) -> List[ClassInfo]:
-        key = f"name:{name}"
-        if key in seen:
-            return []
-        seen.add(key)
-        if name in ("self", "cls") and self.cls_info is not None:
-            return [self.cls_info]
-        if name in self.df.annotations:
-            classes = self.table.annotation_classes(
-                self.symbols, self.df.annotations[name]
-            )
-            if classes:
-                return classes
-        classes = []
-        for value in self.df.assigns.get(name, []):
-            classes.extend(self.infer(value, depth + 1, seen))
-        for iterable in self.df.loop_bindings.get(name, []):
-            classes.extend(self.infer(iterable, depth + 1, seen))
-        return _dedupe(classes)
-
-    def _infer_call(
-        self, call: ast.Call, depth: int, seen: Set[str]
-    ) -> List[ClassInfo]:
-        name = dotted_name(call.func)
-        if name is not None:
-            qualified = self.table.resolve(self.symbols, name)
-            info = self.table.lookup_class(qualified)
-            if info is not None:
-                return [info]
-            fn = self.table.lookup_function(qualified)
-            if fn is not None and fn.returns is not None:
-                # The annotation is written in the callee's namespace,
-                # not the caller's — resolve it there.
-                defining, _ = self.table.split_qualified(qualified)
-                return self.table.annotation_classes(
-                    defining if defining is not None else self.symbols,
-                    fn.returns,
-                )
-        if isinstance(call.func, ast.Attribute):
-            method = call.func.attr
-            classes: List[ClassInfo] = []
-            for info in self.infer(call.func.value, depth + 1, seen):
-                target = info.methods.get(method)
-                if target is not None and target.returns is not None:
-                    classes.extend(self.table.annotation_classes(
-                        info.module, target.returns
-                    ))
-            return _dedupe(classes)
-        return []
-
-    def attr_classes(self, info: ClassInfo, attr: str) -> List[ClassInfo]:
-        """Classes an instance attribute may hold, from the class body
-        annotation or ``self.attr = ...`` seeds in its methods."""
-        stmt_value = info.class_attrs.get(attr)
-        if stmt_value is not None:
-            stmt, value = stmt_value
-            if isinstance(stmt, ast.AnnAssign):
-                classes = self.table.annotation_classes(
-                    info.module, stmt.annotation
-                )
-                if classes:
-                    return classes
-            if isinstance(value, ast.Call):
-                name = dotted_name(value.func)
-                seeded = self.table.lookup_class(
-                    self.table.resolve(info.module, name) if name else None
-                )
-                if seeded is not None:
-                    return [seeded]
-        classes: List[ClassInfo] = []
-        for method in info.methods.values():
-            for node in ast.walk(method):
-                value: Optional[ast.expr] = None
-                annotation: Optional[ast.expr] = None
-                if isinstance(node, ast.Assign):
-                    targets: Sequence[ast.expr] = node.targets
-                    value = node.value
-                elif isinstance(node, ast.AnnAssign):
-                    targets = [node.target]
-                    value = node.value
-                    annotation = node.annotation
-                else:
-                    continue
-                for target in targets:
-                    if not (
-                        isinstance(target, ast.Attribute)
-                        and target.attr == attr
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id in ("self", "cls")
-                    ):
-                        continue
-                    if annotation is not None:
-                        classes.extend(self.table.annotation_classes(
-                            info.module, annotation
-                        ))
-                    if isinstance(value, ast.Call):
-                        name = dotted_name(value.func)
-                        seeded = self.table.lookup_class(
-                            self.table.resolve(info.module, name)
-                            if name else None
-                        )
-                        if seeded is not None:
-                            classes.append(seeded)
-                    elif isinstance(value, ast.Name):
-                        param_ann = None
-                        for arg in (
-                            list(method.args.args)
-                            + list(method.args.kwonlyargs)
-                        ):
-                            if arg.arg == value.id:
-                                param_ann = arg.annotation
-                        if param_ann is not None:
-                            classes.extend(self.table.annotation_classes(
-                                info.module, param_ann
-                            ))
-        return _dedupe(classes)
-
-
-def _dedupe(classes: List[ClassInfo]) -> List[ClassInfo]:
-    out: List[ClassInfo] = []
-    seen: Set[str] = set()
-    for info in classes:
-        if info.qualname not in seen:
-            seen.add(info.qualname)
-            out.append(info)
-    return out

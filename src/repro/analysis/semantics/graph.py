@@ -18,7 +18,7 @@ rather than guessing.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.analysis.astutil import FunctionNode, dotted_name
 from repro.analysis.semantics.symbols import ClassInfo, ModuleSymbols, SymbolTable
@@ -73,9 +73,6 @@ class CallGraph:
     def __init__(self, table: SymbolTable) -> None:
         self.table = table
         self.functions: Dict[str, FunctionNode] = {}
-        #: id(function node) -> qualified name (rules walk ASTs and need
-        #: the way back into the graph).
-        self.names_by_node: Dict[int, str] = {}
         self.callees: Dict[str, FrozenSet[str]] = {}
         self.callers: Dict[str, FrozenSet[str]] = {}
 
@@ -85,7 +82,6 @@ class CallGraph:
         for symbols in table.modules.values():
             for qualified, _, fn in iter_functions(symbols):
                 graph.functions[qualified] = fn
-                graph.names_by_node[id(fn)] = qualified
 
         callers: Dict[str, Set[str]] = {}
         for symbols in table.modules.values():
@@ -131,9 +127,6 @@ class CallGraph:
             return f"{qualified}.__init__"
         return None
 
-    def qualified_for(self, fn: FunctionNode) -> Optional[str]:
-        return self.names_by_node.get(id(fn))
-
     def function(self, qualified: str) -> Optional[FunctionNode]:
         return self.functions.get(qualified)
 
@@ -146,13 +139,3 @@ class CallGraph:
         if qualified is None:
             return frozenset()
         return self.callers.get(qualified, frozenset())
-
-    def callee_functions(
-        self, qualified: Optional[str]
-    ) -> List[Tuple[str, FunctionNode]]:
-        """The resolved callee nodes of a function, one call level deep."""
-        return [
-            (name, self.functions[name])
-            for name in sorted(self.callees_of(qualified))
-            if name in self.functions
-        ]

@@ -21,16 +21,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.astutil import FunctionNode, dotted_name
-
-#: Typing wrappers that carry no class identity of their own; when an
-#: annotation is unwrapped these are skipped and their arguments kept
-#: (``List[Chunk]`` contributes ``Chunk``).
-TYPING_WRAPPERS = frozenset({
-    "Optional", "List", "Sequence", "Iterable", "Iterator", "Dict",
-    "Mapping", "Tuple", "Set", "FrozenSet", "Union", "Deque", "Type",
-    "Callable", "Any", "ClassVar", "Final", "typing",
-})
+from repro.analysis.astutil import FunctionNode
 
 
 def module_name(relpath: str) -> str:
@@ -56,7 +47,6 @@ class GlobalDef:
     name: str
     lineno: int
     value: Optional[ast.expr]
-    annotation: Optional[ast.expr] = None
 
 
 @dataclass
@@ -71,8 +61,6 @@ class ClassInfo:
     class_attrs: Dict[str, Tuple[ast.stmt, Optional[ast.expr]]] = field(
         default_factory=dict
     )
-    #: Base-class names as written at the class site.
-    bases: List[str] = field(default_factory=list)
 
     @property
     def name(self) -> str:
@@ -109,10 +97,6 @@ def _record_module_body(symbols: ModuleSymbols, tree: ast.Module) -> None:
                 qualname=f"{symbols.name}.{stmt.name}",
                 module=symbols,
                 node=stmt,
-                bases=[
-                    name for name in map(dotted_name, stmt.bases)
-                    if name is not None
-                ],
             )
             for member in stmt.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -136,7 +120,7 @@ def _record_module_body(symbols: ModuleSymbols, tree: ast.Module) -> None:
             stmt.target, ast.Name
         ):
             symbols.globals[stmt.target.id] = GlobalDef(
-                stmt.target.id, stmt.lineno, stmt.value, stmt.annotation
+                stmt.target.id, stmt.lineno, stmt.value
             )
 
 
@@ -253,46 +237,3 @@ class SymbolTable:
         if module is None or len(local) != 1:
             return None
         return module.classes.get(local[0])
-
-    def lookup_function(self, qualified: Optional[str]) -> Optional[FunctionNode]:
-        """A function or method node for a qualified name."""
-        if qualified is None:
-            return None
-        module, local = self.split_qualified(qualified)
-        if module is None:
-            return None
-        if len(local) == 1:
-            return module.functions.get(local[0])
-        if len(local) == 2:
-            info = module.classes.get(local[0])
-            if info is not None:
-                return info.methods.get(local[1])
-        return None
-
-    def annotation_classes(
-        self, symbols: ModuleSymbols, annotation: Optional[ast.expr]
-    ) -> List[ClassInfo]:
-        """Project classes named inside an annotation expression.
-
-        Typing wrappers are transparent: ``Optional[List[Chunk]]``
-        yields the ``Chunk`` class.  String annotations (forward
-        references) are parsed and resolved the same way.
-        """
-        if annotation is None:
-            return []
-        if isinstance(annotation, ast.Constant) and isinstance(
-            annotation.value, str
-        ):
-            try:
-                annotation = ast.parse(annotation.value, mode="eval").body
-            except SyntaxError:
-                return []
-        found: List[ClassInfo] = []
-        for node in ast.walk(annotation):
-            name = dotted_name(node)
-            if name is None or name.split(".")[-1] in TYPING_WRAPPERS:
-                continue
-            info = self.lookup_class(self.resolve(symbols, name))
-            if info is not None and info not in found:
-                found.append(info)
-        return found

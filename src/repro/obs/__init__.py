@@ -19,11 +19,13 @@ same measurement machinery, permanently resident:
 * :mod:`repro.obs.log` — the single logging path, counted into the
   registry;
 * :mod:`repro.obs.names` — the canonical metric-name catalog every
-  registration resolves against (enforced by ``reprolint`` RL003);
+  registration resolves against (written as ``names.X``; the
+  shared-memory registry rejects off-catalog names);
 * :mod:`repro.obs.flightrec` — the flight recorder: a fixed-size ring
   of compact structured events with post-mortem JSONL dumps;
 * :mod:`repro.obs.profiler` — the wall-clock stage profiler, the one
-  sanctioned wall-clock reader below the CLI (reprolint RL007);
+  sanctioned wall-clock reader below the CLI (reprolint RL001 keeps
+  the modelled layers off the host clock);
 * :mod:`repro.obs.shm` — shared-memory metric slabs: the per-writer-
   process registry backend plus the aggregator that merges slabs back
   into one registry snapshot (the sharded data plane's substrate);

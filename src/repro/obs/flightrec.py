@@ -30,7 +30,7 @@ Design rules:
 The process-wide default recorder follows the registry/tracer lifecycle:
 :func:`get_flightrec` / :func:`set_flightrec` / :func:`reset_flightrec`.
 Recording is deliberately *not* named ``record`` — that verb belongs to
-the span tracer (and reprolint RL003 checks its stage names).
+the span tracer, whose stage names are the ``Stages`` catalog.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ Writer lifecycle (docs/OBSERVABILITY.md, "Multiprocess mode"):
 The worker entry point is a module-level function so both ``fork`` and
 ``spawn`` start methods work (spawn pickles the target); everything it
 receives — session name, writer id, a :class:`WorkerSpec` — is plain
-data (RL010).
+data that pickles.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
 """The canonical metric-name catalog (one constant per metric).
 
 Every name passed to the metrics registry — ``registry.counter(...)``,
-``registry.gauge(...)``, ``registry.histogram(...)`` — must come from
-this module, either by importing the constant or by matching one of its
-string values exactly.  ``reprolint`` rule RL003 enforces this at lint
-time: a registration whose name is not in the catalog is a typo waiting
-to fork a time series, and a catalog entry no call site uses is an
-orphan that dashboards would chart as permanently zero.
+``registry.gauge(...)``, ``registry.histogram(...)`` — is one of these
+constants, written as ``names.X``: a typo'd attribute raises at import
+or first call instead of forking a time series, and the shared-memory
+registry refuses any name outside the catalog.  The catalog tests
+(``tests/analysis/test_names_catalog.py``) close the loop: no call site
+passes a string literal, every constant has a user outside this module
+(an orphan would chart as permanently zero), and a traced run registers
+catalog names only.
 
 Naming convention (docs/OBSERVABILITY.md): dotted ``<layer>.<what>``
 strings, mirrored here as ``LAYER_WHAT`` constants, grouped by layer in
@@ -100,13 +102,6 @@ SHARD_POOL_REPACKS = "shard.pool_repacks"
 SHARD_MASTER_BATCHES = "shard.master_batches"
 SHARD_MASTER_CHUNKS = "shard.master_chunks"
 
-# -- lint: reprolint self-metrics (docs/STATIC_ANALYSIS.md) ------------
-LINT_RUNS = "lint.runs"
-LINT_CACHE_HITS = "lint.cache_hits"
-LINT_FILES_CHECKED = "lint.files_checked"
-LINT_FINDINGS = "lint.findings"
-LINT_WALL_NS = "lint.wall_ns"
-
 # -- perf: benchmark registry and the scorecard (docs/PERF.md) ---------
 BENCH_RUNS = "bench.runs"
 BENCH_FIGURES = "bench.figures"
@@ -115,9 +110,8 @@ BENCH_FIDELITY = "bench.fidelity"
 BENCH_RUN_SECONDS = "bench.run_seconds"
 BENCH_REGRESSIONS = "bench.regressions"
 
-#: Every canonical metric name (what RL003 validates string names
-#: against at lint time, and what tests validate the registry against
-#: at run time).
+#: Every canonical metric name (what the shared-memory registry and
+#: the catalog tests validate registered names against).
 METRIC_NAMES = frozenset(
     value
     for name, value in list(globals().items())

@@ -11,12 +11,13 @@ boundaries) feeding per-stage wall-time histograms.
 Two design rules keep the two clocks from contaminating each other:
 
 * **This module is the only sanctioned wall-clock reader** below the
-  CLI layer.  reprolint RL007 rejects direct ``time.time()`` /
-  ``perf_counter()`` calls in ``core/`` and ``io_engine/``; hot-path
-  code that needs wall time calls :meth:`StageProfiler.now_ns` or wraps
-  the region in :meth:`StageProfiler.track`.  RL001's determinism
-  guarantee survives because wall time only ever lands in ``prof.*``
-  metrics, never in simulated state.
+  CLI layer.  reprolint RL001 rejects wall-clock reads in the modelled
+  layers (``sim``/``hw``/``io_engine``/``core``/``gen``) however the
+  clock was imported; hot-path code that needs wall time calls
+  :meth:`StageProfiler.now_ns` or wraps the region in
+  :meth:`StageProfiler.track`, the one wall-clock span.  The
+  determinism guarantee survives because wall time only ever lands in
+  ``prof.*`` metrics, never in simulated state.
 * **Observations carry exemplars.**  Each timer stores the flight
   recorder's current event seq with its histogram sample, so a p99
   outlier bucket in ``prof.stage_wall_ns`` names the event that was in
@@ -30,9 +31,8 @@ histogram observe.
 
 from __future__ import annotations
 
-import functools
 import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.obs import names
 from repro.obs.flightrec import FlightRecorder, get_flightrec
@@ -92,7 +92,7 @@ class StageProfiler:
 
     @staticmethod
     def now_ns() -> int:
-        """The one wall-clock read RL007 points hot-path code at."""
+        """The one wall-clock read RL001 points hot-path code at."""
         return time.perf_counter_ns()
 
     # -- timing ---------------------------------------------------------
@@ -118,19 +118,6 @@ class StageProfiler:
         if not self.enabled:
             return _NULL_TIMER
         return _Timer(self._histogram_for(stage), self._recorder)
-
-    def profiled(self, stage: str) -> Callable:
-        """Decorator form of :meth:`track` for whole-function stages."""
-
-        def decorate(fn: Callable) -> Callable:
-            @functools.wraps(fn)
-            def wrapper(*args, **kwargs):
-                with self.track(stage):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     def observe(self, stage: str, elapsed_ns: float,
                 exemplar: Optional[int] = None) -> None:

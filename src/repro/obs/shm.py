@@ -420,7 +420,7 @@ class ShmMetricsRegistry(MetricsRegistry):
         if name not in names.METRIC_NAMES:
             raise ValueError(
                 f"metric {name!r} is not in the names catalog; slab slots "
-                "are reserved for catalog names only (RL003)"
+                "are reserved for catalog names only (repro.obs.names)"
             )
         raw = encode_key(name, key[1])
         if cls is Counter:
@@ -521,7 +521,7 @@ def aggregate_slabs(
     """Merge per-writer slabs into one registry snapshot.
 
     The aggregation pass's own wall time lands in ``obs.agg_wall_ns``
-    on the *calling* process's registry (self-telemetry, RL003-covered)
+    on the *calling* process's registry (self-telemetry, a catalog name)
     — never in the merged output unless the caller aggregates into its
     own default registry on purpose.
     """

@@ -25,7 +25,7 @@ chaos scenario instead of the clean forwarding path, with a fresh seed
 per burst so fault schedules keep evolving on screen.
 
 The dashboard lives in ``obs/`` deliberately: it is the one layer
-allowed to read the wall clock directly (reprolint RL001/RL007 scope
+allowed to read the wall clock directly (reprolint RL001 scopes
 ``sim``/``hw``/``io_engine``/``core``/``gen``), and it imports the sim
 stack lazily inside :func:`top_main` so importing ``repro.obs`` never
 drags the workload generators in.

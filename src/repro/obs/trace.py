@@ -13,14 +13,12 @@ O(stages) regardless of run length.
 Costs are modelled, not wall-clock, matching the repo's functional +
 temporal split: a span says "this pre-shading step costs 55 cycles/packet
 under the calibrated model", which is what the Table-3-style breakdowns
-and the bottleneck analyzer consume.  (Wall-clock spans are available via
-:meth:`Tracer.span` for profiling the reproduction itself.)
+and the bottleneck analyzer consume.  (Wall-clock time is the stage
+profiler's axis: :meth:`repro.obs.profiler.StageProfiler.track`.)
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Iterator, List, Optional
@@ -155,21 +153,6 @@ class Tracer:
         self._events.append(
             Span(stage, packets, cycles, ns, seq=self._seq, meta=meta)
         )
-
-    @contextmanager
-    def span(self, stage: str, packets: int = 0, **meta: object):
-        """Wall-clock span (for profiling the reproduction itself)."""
-        if not self.enabled:
-            yield self
-            return
-        start = time.perf_counter_ns()
-        try:
-            yield self
-        finally:
-            self.record(
-                stage, packets=packets,
-                ns=float(time.perf_counter_ns() - start), **meta,
-            )
 
     # -- reading --------------------------------------------------------
 

@@ -27,13 +27,13 @@ def write_tree(tmp_path, files):
 def lint(tmp_path):
     """``lint({relpath: code, ...}, rules=["RL001"]) -> LintResult``."""
 
-    def _lint(files, rules=None, baseline=None):
+    def _lint(files, rules=None):
         write_tree(tmp_path, files)
         selected = [get_rule(r) for r in rules] if rules is not None else None
         cwd = os.getcwd()
         os.chdir(tmp_path)
         try:
-            return lint_paths(["."], rules=selected, baseline=baseline)
+            return lint_paths(["."], rules=selected)
         finally:
             os.chdir(cwd)
 

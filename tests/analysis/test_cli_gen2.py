@@ -1,16 +1,18 @@
-"""Gen-2 driver surface: result cache, SARIF, changed-only, baseline
-hygiene, and the linter's own lint.* metrics."""
+"""One run mode: every run analyses and reports the whole tree as it is
+now — no result cache, no changed-only reporting, no baseline ledger —
+plus the SARIF export and the linter's independence from the obs
+registry."""
 
+import collections
 import json
 import os
 import subprocess
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import ResultCache
 from repro.analysis.cli import lint_main
-from repro.analysis.driver import lint_paths
+from repro.analysis.driver import lint_paths, parse_module
 from repro.analysis.findings import Finding
 from repro.analysis.rules import get_rule
 from repro.obs import names
@@ -25,6 +27,13 @@ def stamp():
 """
 
 CLEAN = "def ok():\n    return 1\n"
+
+WAIVED = CLOCK_BUG.replace(
+    "return time.time()",
+    "return time.time()  # reprolint: ignore[RL001] fixture clock",
+)
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -41,68 +50,71 @@ def tree(tmp_path):
     os.chdir(cwd)
 
 
+def _src_waivers():
+    """Rule id per inline waiver line in ``src/`` (the analysis package
+    only quotes the pragma in its docs, so it is left out)."""
+    waivers = collections.Counter()
+    for path in sorted(SRC.rglob("*.py")):
+        if "analysis" in path.parts:
+            continue
+        module, _ = parse_module(path)
+        for rules in module.suppressions.values():
+            waivers.update(rules)
+    return waivers
+
+
 class TestResultCache:
+    """There is no result cache: each run analyses the files as they are."""
+
     def test_second_run_is_a_hit_with_same_findings(self, tree):
-        tree({"core/clock.py": CLOCK_BUG})
-        cache = ResultCache("lint-cache.json")
+        tree({"core/clock.py": CLOCK_BUG, "core/waived.py": WAIVED})
         rules = [get_rule("RL001")]
-        first = lint_paths(["."], rules=rules, cache=cache)
-        second = lint_paths(
-            ["."], rules=rules, cache=ResultCache("lint-cache.json")
-        )
-        assert not first.cache_hit and second.cache_hit
-        assert [f.fingerprint for f in second.findings] == [
-            f.fingerprint for f in first.findings
+        first = lint_paths(["."], rules=rules)
+        second = lint_paths(["."], rules=rules)
+        assert [f.fingerprint for f in first.findings] == [
+            ("RL001", "core/clock.py",
+             "wall-clock read time.time() on a modelled path"),
         ]
-        assert second.suppressed == first.suppressed
+        assert second.findings == first.findings
+        assert second.suppressed == first.suppressed == 1
 
     def test_edit_invalidates(self, tree):
         root = tree({"core/clock.py": CLOCK_BUG})
         rules = [get_rule("RL001")]
-        lint_paths(["."], rules=rules, cache=ResultCache("c.json"))
+        assert lint_paths(["."], rules=rules).failed
         (root / "core/clock.py").write_text(CLEAN)
-        result = lint_paths(["."], rules=rules, cache=ResultCache("c.json"))
-        assert not result.cache_hit
-        assert result.findings == []
+        assert lint_paths(["."], rules=rules).findings == []
 
     def test_new_file_invalidates(self, tree):
         root = tree({"core/a.py": CLEAN})
         rules = [get_rule("RL001")]
-        lint_paths(["."], rules=rules, cache=ResultCache("c.json"))
+        assert lint_paths(["."], rules=rules).findings == []
         (root / "core/b.py").write_text(CLOCK_BUG)
-        result = lint_paths(["."], rules=rules, cache=ResultCache("c.json"))
-        assert not result.cache_hit
-        assert len(result.findings) == 1
+        result = lint_paths(["."], rules=rules)
+        assert [f.path for f in result.findings] == ["core/b.py"]
 
     def test_different_rule_set_misses(self, tree):
-        tree({"core/a.py": CLEAN})
-        lint_paths(["."], rules=[get_rule("RL001")],
-                   cache=ResultCache("c.json"))
-        result = lint_paths(["."], rules=[get_rule("RL002")],
-                            cache=ResultCache("c.json"))
-        assert not result.cache_hit
+        tree({"core/clock.py": CLOCK_BUG})
+        assert lint_paths(["."], rules=[get_rule("RL002")]).findings == []
+        assert len(lint_paths(["."], rules=[get_rule("RL001")]).findings) == 1
 
     def test_baseline_applies_after_replay(self, tree):
-        tree({"core/clock.py": CLOCK_BUG})
+        # A waiver written between two runs takes effect on the next one.
+        root = tree({"core/clock.py": CLOCK_BUG})
         rules = [get_rule("RL001")]
-        first = lint_paths(["."], rules=rules, cache=ResultCache("c.json"))
-        baseline = Baseline.from_findings(first.findings)
-        replay = lint_paths(
-            ["."], rules=rules, cache=ResultCache("c.json"),
-            baseline=baseline,
-        )
-        assert replay.cache_hit
-        assert not replay.failed
-        assert all(f.baselined for f in replay.findings)
+        assert lint_paths(["."], rules=rules).failed
+        (root / "core/clock.py").write_text(WAIVED)
+        result = lint_paths(["."], rules=rules)
+        assert not result.failed
+        assert result.suppressed == 1
 
     def test_corrupt_cache_degrades_to_live_run(self, tree):
+        # A leftover cache file is not read, and a run writes nothing.
         root = tree({"core/clock.py": CLOCK_BUG})
-        (root / "c.json").write_text("{not json")
-        result = lint_paths(
-            ["."], rules=[get_rule("RL001")], cache=ResultCache("c.json")
-        )
-        assert not result.cache_hit
-        assert len(result.findings) == 1
+        (root / ".reprolint-cache.json").write_text("{not json")
+        before = sorted(p.name for p in root.rglob("*"))
+        assert lint_main([".", "--rules", "RL001"]) == 1
+        assert sorted(p.name for p in root.rglob("*")) == before
 
 
 class TestSarif:
@@ -122,16 +134,12 @@ class TestSarif:
         assert location["artifactLocation"]["uri"] == "core/clock.py"
         assert "reprolintFingerprint/v1" in result["partialFingerprints"]
 
-    def test_baselined_findings_become_suppressions(self):
-        from repro.analysis.sarif import format_sarif
-
-        finding = Finding(
-            rule="RL001", path="core/x.py", line=3, message="m"
-        )
-        finding.baselined = True
-        log = json.loads(format_sarif([finding], []))
-        result = log["runs"][0]["results"][0]
-        assert result["suppressions"][0]["kind"] == "external"
+    def test_baselined_findings_become_suppressions(self, tree, capsys):
+        # An inline waiver keeps its finding out of the log entirely.
+        tree({"core/clock.py": WAIVED})
+        assert lint_main([".", "--format", "sarif"]) == 0
+        log = json.loads(capsys.readouterr().out)
+        assert log["runs"][0]["results"] == []
 
     def test_fingerprint_stable_across_line_drift(self):
         from repro.analysis.sarif import _fingerprint_hash
@@ -142,6 +150,10 @@ class TestSarif:
 
 
 class TestChangedOnly:
+    """There is no changed-only mode: the report spans the whole tree,
+    because a cross-file finding lands where its cause is defined, not
+    in the file whose edit exposed it."""
+
     def _git(self, *argv):
         subprocess.run(
             ["git", *argv], check=True, capture_output=True,
@@ -150,21 +162,19 @@ class TestChangedOnly:
                  "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"},
         )
 
-    def test_reports_only_diffed_files(self, tree, capsys):
+    def test_reports_only_diffed_files(self, tree):
         root = tree({
-            "core/old.py": CLOCK_BUG,
-            "core/new.py": CLEAN,
+            "core/state.py": "TABLE = {}\n",
+            "core/worker.py": CLEAN,
         })
-        self._git("init", "-q")
-        self._git("add", "-A")
-        self._git("commit", "-qm", "seed")
-        # Touch only new.py; old.py's finding must not be reported.
-        (root / "core/new.py").write_text(CLOCK_BUG)
-        code = lint_main([".", "--rules", "RL001", "--changed-only",
-                          "HEAD", "--format", "json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 1
-        assert [f["path"] for f in payload["findings"]] == ["core/new.py"]
+        assert lint_paths(["."], rules=[get_rule("RL008")]).findings == []
+        # Only worker.py changes; the finding is reported in state.py.
+        (root / "core/worker.py").write_text(
+            "from core.state import TABLE\n\n"
+            "def learn(key):\n    TABLE[key] = True\n"
+        )
+        result = lint_paths(["."], rules=[get_rule("RL008")])
+        assert [f.path for f in result.findings] == ["core/state.py"]
 
     def test_untracked_files_count_as_changed(self, tree, capsys):
         root = tree({"core/a.py": CLEAN})
@@ -172,65 +182,55 @@ class TestChangedOnly:
         self._git("add", "-A")
         self._git("commit", "-qm", "seed")
         (root / "core/fresh.py").write_text(CLOCK_BUG)
-        code = lint_main([".", "--rules", "RL001", "--changed-only",
-                          "HEAD", "--format", "json"])
+        code = lint_main([".", "--rules", "RL001", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert [f["path"] for f in payload["findings"]] == ["core/fresh.py"]
 
     def test_outside_git_is_a_usage_error(self, tree):
-        tree({"core/a.py": CLEAN})
-        assert lint_main([".", "--rules", "RL001", "--changed-only", "HEAD"]) == 2
+        # The linter never consults git: outside a checkout it runs.
+        tree({"core/clock.py": CLOCK_BUG})
+        assert lint_main([".", "--rules", "RL001"]) == 1
 
 
 class TestBaselineHygiene:
-    def test_prune_drops_paid_down_entries(self, tree, capsys):
-        root = tree({"core/clock.py": CLOCK_BUG})
-        assert lint_main([".", "--rules", "RL001", "--write-baseline", "b.json"]) == 0
-        (root / "core/clock.py").write_text(CLEAN)
-        capsys.readouterr()
-        assert lint_main([".", "--rules", "RL001", "--prune-baseline", "b.json"]) == 0
-        out = capsys.readouterr().out
-        assert "pruned 1 stale entry" in out
-        assert len(Baseline.load("b.json")) == 0
+    """Inline waivers are the whole ledger; these keep it honest."""
+
+    def test_prune_drops_paid_down_entries(self, tree):
+        # Once the finding is fixed, its waiver no longer counts.
+        root = tree({"core/clock.py": WAIVED})
+        assert lint_paths(["."], rules=[get_rule("RL001")]).suppressed == 1
+        (root / "core/clock.py").write_text(
+            CLEAN.replace("return 1", "return 1  # reprolint: ignore[RL001]")
+        )
+        result = lint_paths(["."], rules=[get_rule("RL001")])
+        assert result.findings == [] and result.suppressed == 0
 
     def test_prune_keeps_live_debt(self, tree):
-        tree({"core/clock.py": CLOCK_BUG})
-        assert lint_main([".", "--rules", "RL001", "--write-baseline", "b.json"]) == 0
-        assert lint_main([".", "--rules", "RL001", "--prune-baseline", "b.json"]) == 0
-        assert len(Baseline.load("b.json")) == 1
-        assert lint_main([".", "--rules", "RL001", "--baseline", "b.json"]) == 0
+        tree({"core/clock.py": WAIVED})
+        assert lint_main([".", "--rules", "RL001"]) == 0
+        assert lint_paths(["."], rules=[get_rule("RL001")]).suppressed == 1
 
-    def test_check_fails_on_stale_ledger(self, tree, capsys):
-        root = tree({"core/clock.py": CLOCK_BUG})
-        assert lint_main([".", "--rules", "RL001", "--write-baseline", "b.json"]) == 0
-        (root / "core/clock.py").write_text(CLEAN)
-        assert lint_main([".", "--rules", "RL001", "--check-baseline", "b.json"]) == 1
-        assert "stale" in capsys.readouterr().err
+    def test_check_fails_on_stale_ledger(self):
+        # Every waiver in src/ still waives a live finding: none is stale.
+        result = lint_paths([SRC])
+        assert result.suppressed == sum(_src_waivers().values())
 
-    def test_check_passes_on_tight_ledger(self, tree):
-        tree({"core/clock.py": CLOCK_BUG})
-        assert lint_main([".", "--rules", "RL001", "--write-baseline", "b.json"]) == 0
-        assert lint_main([".", "--rules", "RL001", "--check-baseline", "b.json"]) == 0
+    def test_check_passes_on_tight_ledger(self):
+        # The tree's waivers, by rule; a new one is a visible diff here.
+        assert _src_waivers() == {"RL006": 7, "RL008": 1}
 
 
 class TestSelfMetrics:
     def test_lint_records_its_own_metrics(self, tree):
+        # The linter publishes nothing: no lint.* series, no registry use.
         tree({"core/a.py": CLEAN})
         reset_registry()
         try:
-            lint_paths(["."], rules=[get_rule("RL001")],
-                       cache=ResultCache("c.json"))
-            lint_paths(["."], rules=[get_rule("RL001")],
-                       cache=ResultCache("c.json"))
-            registry = get_registry()
-            sample = {
-                m.name: m for m in registry.collect()
-            }
-            assert sample[names.LINT_RUNS].value == 2
-            assert sample[names.LINT_CACHE_HITS].value == 1
-            assert sample[names.LINT_FILES_CHECKED].value == 1
-            assert sample[names.LINT_FINDINGS].value == 0
-            assert sample[names.LINT_WALL_NS].count == 2
+            lint_paths(["."], rules=[get_rule("RL001")])
+            assert list(get_registry().collect()) == []
+            assert not any(
+                name.startswith("lint.") for name in names.METRIC_NAMES
+            )
         finally:
             reset_registry()

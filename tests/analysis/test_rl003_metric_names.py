@@ -1,114 +1,111 @@
-"""RL003 fixtures: registry/trace names against the canonical catalogs."""
+"""Registry/trace names against the canonical catalogs.
 
-from tests.analysis.conftest import messages, rule_ids
+The fixtures RL003 was written against, now run through the checks
+that replaced it when it was deleted: the catalog scans in
+``test_names_catalog.py`` (no literal names at call sites, no orphaned
+catalog entries) and the run-time guard that a typo'd ``names.X``
+raises.
+"""
 
-#: A minimal catalog + stage table fixture for the linted tree.
+import pytest
+
+from repro.obs import names
+from tests.analysis.conftest import write_tree
+from tests.analysis.test_names_catalog import literal_name_calls, orphan_constants
+
+#: A minimal catalog for the fixture trees.
 CATALOG = {
-    "obs/names.py": """
-        ROUTER_RECEIVED = "router.received_packets"
-        ROUTER_DROPPED = "router.dropped_packets"
-        """,
-    "obs/trace.py": """
-        class Stages:
-            RX = "rx"
-            TX = "tx"
-        """,
-    # Anchor references so the shared fixtures never trip the orphan
-    # check; the orphan tests build their own catalog without this file.
-    "obs/exporters.py": """
-        def register_all(registry):
-            registry.counter("router.received_packets")
-            registry.counter("router.dropped_packets")
-        """,
+    "ROUTER_RECEIVED": "router.received_packets",
+    "ROUTER_DROPPED": "router.dropped_packets",
 }
+NAMES_SOURCE = "".join(f'{k} = "{v}"\n' for k, v in CATALOG.items())
 
 
-def with_catalog(files):
-    merged = dict(CATALOG)
-    merged.update(files)
-    return merged
+def scan(tmp_path, files):
+    """``(literal-name call sites, orphaned constants)`` of a tree
+    holding the fixture catalog plus ``files``."""
+    write_tree(tmp_path, {"obs/names.py": NAMES_SOURCE, **files})
+    return (
+        literal_name_calls(tmp_path),
+        orphan_constants(CATALOG, tmp_path, tmp_path / "obs/names.py"),
+    )
 
 
 class TestRegistryNames:
-    def test_known_string_and_constant_are_clean(self, lint):
-        result = lint(with_catalog({"core/router.py": """
+    def test_known_string_and_constant_are_clean(self, tmp_path):
+        assert scan(tmp_path, {"core/router.py": """
             from repro.obs import names
 
             def setup(registry):
-                registry.counter("router.received_packets")
+                registry.counter(names.ROUTER_RECEIVED)
                 registry.counter(names.ROUTER_DROPPED, help="drops")
-            """}), rules=["RL003"])
-        assert rule_ids(result) == []
+            """}) == ([], [])
 
-    def test_typo_string_triggers(self, lint):
-        result = lint(with_catalog({"core/router.py": """
+    def test_typo_string_triggers(self, tmp_path):
+        literals, _ = scan(tmp_path, {"core/router.py": """
             def setup(registry):
                 registry.counter("router.recieved_packets")
-            """}), rules=["RL003"])
-        assert rule_ids(result) == ["RL003"]
-        assert "router.recieved_packets" in messages(result)
+            """})
+        assert literals == ["core/router.py:3"]
 
-    def test_unknown_catalog_constant_triggers(self, lint):
-        result = lint(with_catalog({"core/router.py": """
-            from repro.obs import names
+    def test_unknown_catalog_constant_triggers(self):
+        with pytest.raises(AttributeError):
+            names.ROUTER_DOES_NOT_EXIST
 
-            def setup(registry):
-                registry.gauge(names.ROUTER_DOES_NOT_EXIST)
-            """}), rules=["RL003"])
-        assert rule_ids(result) == ["RL003"]
-
-    def test_registry_read_with_typo_triggers(self, lint):
-        result = lint(with_catalog({"core/report.py": """
+    def test_registry_read_with_typo_triggers(self, tmp_path):
+        literals, _ = scan(tmp_path, {"core/report.py": """
             def snapshot(registry):
                 return registry.total("router.dorpped_packets")
-            """}), rules=["RL003"])
-        assert rule_ids(result) == ["RL003"]
+            """})
+        assert literals == ["core/report.py:3"]
 
-    def test_without_catalog_module_rule_is_silent(self, lint):
-        # A tree with no names.py cannot be validated — no noise.
-        result = lint({"core/router.py": """
-            def setup(registry):
-                registry.counter("anything.goes")
-            """}, rules=["RL003"])
-        assert rule_ids(result) == []
+    def test_without_catalog_module_rule_is_silent(self, tmp_path):
+        # Forwarding a name held in a variable (read_slab, merge_into)
+        # is not a literal: the name came from the catalog upstream.
+        literals, _ = scan(tmp_path, {"obs/merge.py": """
+            def copy(target, metric):
+                target.counter(metric.name, **dict(metric.labels))
+            """})
+        assert literals == []
 
 
 class TestTraceStages:
-    def test_unknown_stage_string_triggers(self, lint):
-        result = lint(with_catalog({"core/router.py": """
+    def test_unknown_stage_string_triggers(self, tmp_path):
+        literals, _ = scan(tmp_path, {"core/router.py": """
             def run(tracer):
                 tracer.record("rxx", packets=1)
-            """}), rules=["RL003"])
-        assert rule_ids(result) == ["RL003"]
-        assert "rxx" in messages(result)
+            """})
+        assert literals == ["core/router.py:3"]
 
-    def test_known_stage_string_is_clean(self, lint):
-        result = lint(with_catalog({"core/router.py": """
+    def test_known_stage_string_is_clean(self, tmp_path):
+        literals, _ = scan(tmp_path, {"core/router.py": """
+            from repro.obs import Stages
+
             def run(tracer):
-                tracer.record("rx", packets=1)
-            """}), rules=["RL003"])
-        assert rule_ids(result) == []
+                tracer.record(Stages.RX, packets=1)
+            """})
+        assert literals == []
 
 
 class TestOrphans:
-    def test_orphaned_catalog_entry_warns(self, lint):
-        result = lint({
-            "obs/names.py": CATALOG["obs/names.py"],
-            "core/router.py": """
-            def setup(registry):
-                registry.counter("router.received_packets")
-            """}, rules=["RL003"])
-        assert rule_ids(result) == ["RL003"]
-        finding = result.findings[0]
-        assert finding.severity == "warning"
-        assert "router.dropped_packets" in finding.message
+    def test_orphaned_catalog_entry_warns(self, tmp_path):
+        _, orphans = scan(tmp_path, {"core/router.py": """
+            from repro.obs import names
 
-    def test_string_use_counts_as_reference(self, lint):
-        result = lint({
-            "obs/names.py": CATALOG["obs/names.py"],
-            "core/router.py": """
             def setup(registry):
-                registry.counter("router.received_packets")
-                registry.counter("router.dropped_packets")
-            """}, rules=["RL003"])
-        assert rule_ids(result) == []
+                registry.counter(names.ROUTER_RECEIVED)
+            """})
+        assert orphans == ["ROUTER_DROPPED"]
+
+    def test_string_use_counts_as_reference(self, tmp_path):
+        # A use of the value outside a registry call (a label table)
+        # still references the entry.
+        _, orphans = scan(tmp_path, {"core/router.py": """
+            from repro.obs import names
+
+            LABELS = {"router.dropped_packets": "drops"}
+
+            def setup(registry):
+                registry.counter(names.ROUTER_RECEIVED)
+            """})
+        assert orphans == []

@@ -27,8 +27,8 @@ class TestHotLoopDetection:
     def test_zip_and_enumerate_forms_trigger(self, lint):
         result = lint({"io_engine/engine.py": """
             def walk(self, chunk):
-                for frame, verdict in zip(chunk.frames, chunk.verdicts):
-                    self.touch(frame, verdict)
+                for code, port in zip(chunk.dispositions, chunk.out_ports):
+                    self.touch(code, port)
                 for index, frame in enumerate(chunk.frames):
                     self.touch_at(index, frame)
             """}, rules=["RL006"])
@@ -45,8 +45,8 @@ class TestHotLoopDetection:
     def test_verdict_iteration_triggers(self, lint):
         result = lint({"apps/ipv6.py": """
             def settle(self, chunk):
-                for verdict in chunk.verdicts:
-                    verdict.drop()
+                for port in chunk.out_ports:
+                    self.count(port)
             """}, rules=["RL006"])
         assert rule_ids(result) == ["RL006"]
 
@@ -75,7 +75,7 @@ class TestExemptions:
 
     def test_index_loop_over_flatnonzero_is_clean(self, lint):
         # Looping over a sparse verdict index array is the sanctioned
-        # residual — only frames/verdicts iteration is per-packet.
+        # residual — only frames/verdict-column iteration is per-packet.
         result = lint({"apps/ipv4.py": """
             def apply(self, chunk, routed, hops):
                 for index in routed.tolist():

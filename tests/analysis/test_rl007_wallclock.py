@@ -1,4 +1,10 @@
-"""RL007 fixtures: hot-path wall-clock reads go through the profiler."""
+"""Hot-path wall-clock reads go through the profiler.
+
+The fixtures RL007 was written against, now run through RL001, which
+took over its alias-aware clock detection when RL007 was deleted:
+every shape RL007 flagged must still be flagged, every shape it
+accepted still accepted.
+"""
 
 from pathlib import Path
 
@@ -15,19 +21,18 @@ class TestWallclockDetection:
 
             def stamp(self):
                 return time.time()
-            """}, rules=["RL007"])
-        assert rule_ids(result) == ["RL007"]
+            """}, rules=["RL001"])
+        assert rule_ids(result) == ["RL001"]
         assert "wall-clock read time.time()" in messages(result)
 
     def test_bare_imported_perf_counter_triggers(self, lint):
-        # The form RL001's literal dotted match cannot see.
         result = lint({"io_engine/engine.py": """
             from time import perf_counter
 
             def stamp(self):
                 return perf_counter()
-            """}, rules=["RL007"])
-        assert rule_ids(result) == ["RL007"]
+            """}, rules=["RL001"])
+        assert rule_ids(result) == ["RL001"]
         assert "time.perf_counter" in messages(result)
 
     def test_renamed_import_triggers(self, lint):
@@ -36,8 +41,8 @@ class TestWallclockDetection:
 
             def stamp(self):
                 return clock()
-            """}, rules=["RL007"])
-        assert rule_ids(result) == ["RL007"]
+            """}, rules=["RL001"])
+        assert rule_ids(result) == ["RL001"]
 
     def test_module_alias_triggers(self, lint):
         result = lint({"io_engine/driver.py": """
@@ -45,8 +50,8 @@ class TestWallclockDetection:
 
             def stamp(self):
                 return t.monotonic()
-            """}, rules=["RL007"])
-        assert rule_ids(result) == ["RL007"]
+            """}, rules=["RL001"])
+        assert rule_ids(result) == ["RL001"]
 
     def test_datetime_forms_trigger(self, lint):
         result = lint({"core/solver.py": """
@@ -55,8 +60,8 @@ class TestWallclockDetection:
 
             def stamps(self):
                 return datetime.datetime.now(), dt.utcnow()
-            """}, rules=["RL007"])
-        assert rule_ids(result) == ["RL007", "RL007"]
+            """}, rules=["RL001"])
+        assert rule_ids(result) == ["RL001", "RL001"]
 
 
 class TestExemptions:
@@ -70,7 +75,7 @@ class TestExemptions:
                 with get_profiler().track(Stages.PRE_SHADE):
                     self.app.pre_shade(chunk)
                 return get_profiler().now_ns()
-            """}, rules=["RL007"])
+            """}, rules=["RL001"])
         assert rule_ids(result) == []
 
     def test_obs_layer_is_exempt(self, lint):
@@ -81,7 +86,7 @@ class TestExemptions:
 
             def now_ns():
                 return time.perf_counter_ns()
-            """}, rules=["RL007"])
+            """}, rules=["RL001"])
         assert rule_ids(result) == []
 
     def test_cold_layers_are_exempt(self, lint):
@@ -90,7 +95,7 @@ class TestExemptions:
 
             def sample():
                 return perf_counter_ns()
-            """}, rules=["RL007"])
+            """}, rules=["RL001"])
         assert rule_ids(result) == []
 
     def test_unrelated_bare_names_are_clean(self, lint):
@@ -102,7 +107,7 @@ class TestExemptions:
 
             def cost(chunk):
                 return time(chunk)
-            """}, rules=["RL007"])
+            """}, rules=["RL001"])
         assert rule_ids(result) == []
 
     def test_inline_suppression_is_clean(self, lint):
@@ -110,13 +115,13 @@ class TestExemptions:
             from time import monotonic
 
             def stamp(self):
-                return monotonic()  # reprolint: ignore[RL007]
-            """}, rules=["RL007"])
+                return monotonic()  # reprolint: ignore[RL001]
+            """}, rules=["RL001"])
         assert rule_ids(result) == []
 
     def test_repo_tree_is_currently_clean(self):
         # core/ and io_engine/ route every wall-clock read through the
         # profiler; new direct reads must do the same.
         repo_root = Path(__file__).resolve().parents[2]
-        result = lint_paths([repo_root / "src"], rules=[get_rule("RL007")])
+        result = lint_paths([repo_root / "src"], rules=[get_rule("RL001")])
         assert [f.message for f in result.findings] == []

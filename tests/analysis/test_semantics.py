@@ -1,8 +1,8 @@
-"""The semantic engine itself: symbols, graphs, dataflow, typing.
+"""The semantic engine itself: symbols, graphs, dataflow.
 
 These tests exercise the layers rules build on, against synthetic
-packages — if resolution or taint breaks here, every RL008-RL011
-verdict upstream is suspect.
+packages — if resolution or taint breaks here, every RL008, RL009 and
+RL011 verdict upstream is suspect.
 """
 
 import ast
@@ -90,22 +90,6 @@ class TestSymbolTable:
         }).semantics
         user = sem.symbols.modules["pkg.user"]
         assert sem.symbols.resolve(user, "Thing") == "pkg.impl.Thing"
-
-    def test_annotation_classes_unwrap_typing(self, project):
-        sem = project({
-            "pkg/impl.py": "class Thing:\n    pass\n",
-            "user.py": """
-                from typing import List, Optional
-                from pkg.impl import Thing
-
-                def consume(items: Optional[List[Thing]]) -> None:
-                    pass
-            """,
-        }).semantics
-        user = sem.symbols.modules["user"]
-        annotation = user.functions["consume"].args.args[0].annotation
-        classes = sem.symbols.annotation_classes(user, annotation)
-        assert [c.name for c in classes] == ["Thing"]
 
 
 class TestGraphs:
@@ -259,83 +243,3 @@ def f(self, frames):
         df = build_dataflow(fn, set())
         value = fn.body[0].value
         assert contains_foreign_buffer(df, value, set()) == "chunk.frames[0]"
-
-
-class TestTyper:
-    def test_infers_annotation_ctor_and_loop_element(self, project):
-        sem = project({
-            "pkg/impl.py": "class Thing:\n    pass\n",
-            "user.py": """
-                from typing import List
-                from pkg.impl import Thing
-
-                def annotated(t: Thing):
-                    return t
-
-                def constructed():
-                    t = Thing()
-                    return t
-
-                def looped(items: List[Thing]):
-                    for item in items:
-                        return item
-            """,
-        }).semantics
-        user = sem.symbols.modules["user"]
-        for fn_name, expr_name in [
-            ("annotated", "t"), ("constructed", "t"), ("looped", "item"),
-        ]:
-            fn = user.functions[fn_name]
-            typer = sem.typer(user, None, fn)
-            classes = typer.infer(ast.Name(id=expr_name, ctx=ast.Load()))
-            assert [c.name for c in classes] == ["Thing"], fn_name
-
-    def test_infers_through_return_annotation(self, project):
-        sem = project({
-            "pkg/impl.py": """
-                class Thing:
-                    pass
-
-                def make() -> Thing:
-                    return Thing()
-            """,
-            "user.py": """
-                from pkg.impl import make
-
-                def go():
-                    t = make()
-                    return t
-            """,
-        }).semantics
-        user = sem.symbols.modules["user"]
-        typer = sem.typer(user, None, user.functions["go"])
-        classes = typer.infer(ast.Name(id="t", ctx=ast.Load()))
-        assert [c.name for c in classes] == ["Thing"]
-
-    def test_infers_self_attr_seeded_in_init(self, project):
-        sem = project({
-            "pkg/impl.py": "class Thing:\n    pass\n",
-            "user.py": """
-                from pkg.impl import Thing
-
-                class Holder:
-                    def __init__(self):
-                        self.thing = Thing()
-
-                    def use(self):
-                        return self.thing
-            """,
-        }).semantics
-        user = sem.symbols.modules["user"]
-        holder = user.classes["Holder"]
-        typer = sem.typer(user, holder, holder.methods["use"])
-        expr = ast.parse("self.thing", mode="eval").body
-        assert [c.name for c in typer.infer(expr)] == ["Thing"]
-
-    def test_unknown_stays_empty(self, project):
-        sem = project({
-            "user.py": "def go(mystery):\n    return mystery\n",
-        }).semantics
-        user = sem.symbols.modules["user"]
-        typer = sem.typer(user, None, user.functions["go"])
-        assert typer.infer(ast.Name(id="mystery", ctx=ast.Load())) == []

@@ -64,7 +64,7 @@ class TestVerdicts:
 
 class TestPickle:
     """Process-boundary serialization (the sharded data plane pickles
-    chunks across multiprocessing queues — RL010's runtime contract)."""
+    chunks across multiprocessing queues)."""
 
     def test_round_trip_packed_chunk(self):
         chunk = Chunk(

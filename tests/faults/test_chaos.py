@@ -18,7 +18,14 @@ import pytest
 from repro.apps.ipv4 import IPv4Forwarder
 from repro.core.framework import PacketShader
 from repro.core.solver import app_throughput_report, degraded_throughput_report
-from repro.faults import BreakerState, FaultPlan, FaultRule, RetryPolicy, Sites
+from repro.faults import (
+    ALL_SITES,
+    BreakerState,
+    FaultPlan,
+    FaultRule,
+    RetryPolicy,
+    Sites,
+)
 from repro.faults.scenarios import SCENARIOS, run_scenario
 from repro.gen.workloads import ipv4_workload
 from repro.obs import Stages, get_registry, get_tracer, reset_registry, reset_tracer
@@ -33,6 +40,19 @@ def fresh_obs():
     yield
     reset_registry()
     reset_tracer()
+
+
+def fired_sites(scenarios, seed=1, packets=512):
+    """Sites with a non-zero ``faults_fired`` count in any of the named
+    scenarios' runs."""
+    return {
+        site
+        for name in sorted(scenarios)
+        for site, count in run_scenario(
+            name, seed=seed, packets=packets
+        ).faults_fired.items()
+        if count
+    }
 
 
 def _router(plan=None, retry_policy=None):
@@ -70,6 +90,11 @@ class TestScenarioConservation:
     def test_faults_actually_fire(self):
         report = run_scenario("chaos", seed=1, packets=512)
         assert sum(report.faults_fired.values()) > 0
+
+    def test_every_site_fires_in_some_scenario(self):
+        # Each Sites member is wired into its layer *and* scheduled by a
+        # scenario: the canned set fires all of them.
+        assert fired_sites(SCENARIOS) == set(ALL_SITES)
 
     def test_registry_mirrors_router_stats(self):
         report = run_scenario("gpu-failure", seed=1, packets=512)

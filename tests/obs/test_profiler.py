@@ -64,17 +64,6 @@ class TestTrack:
                 raise RuntimeError("kernel fault")
         assert _wall_histogram(Stages.GPU).count == 1
 
-    def test_decorator_form(self):
-        profiler = StageProfiler()
-
-        @profiler.profiled(Stages.CPU_PROCESS)
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert work.__name__ == "work"
-        assert _wall_histogram(Stages.CPU_PROCESS).count == 1
-
 
 class TestExemplars:
     def test_observation_carries_the_current_flightrec_seq(self):
