@@ -13,7 +13,9 @@ Each application implements the three-callback interface of
 lookup without packet I/O — Figure 2).
 """
 
-from typing import Callable, List, Tuple
+from typing import Callable, Tuple
+
+import numpy as np
 
 from repro.apps.ipv4 import IPv4Forwarder
 from repro.apps.ipv6 import IPv6Forwarder
@@ -34,22 +36,22 @@ from repro.gen.packetgen import PacketGenerator
 REGISTRY = {
     "ipv4": (
         lambda routes, seed: workloads.ipv4_table(routes, seed=seed),
-        lambda table, seed: IPv4Forwarder(table), "ipv4_burst", 64,
+        lambda table, seed: IPv4Forwarder(table), "ipv4_rows", 64,
     ),
     "ipv6": (
         lambda routes, seed: workloads.ipv6_table(routes, seed=seed),
-        lambda table, seed: IPv6Forwarder(table), "ipv6_burst", 78,
+        lambda table, seed: IPv6Forwarder(table), "ipv6_rows", 78,
     ),
     "openflow": (
         None,
         lambda table, seed: OpenFlowApp(workloads.openflow_workload(
             num_exact=2048, num_wildcard=32, seed=seed
-        ).switch), "ipv4_burst", 64,
+        ).switch), "ipv4_rows", 64,
     ),
     "ipsec": (
         None,
         lambda table, seed: IPsecGateway(workloads.ipsec_workload(seed).sa),
-        "ipv4_burst", 64,
+        "ipv4_rows", 64,
     ),
 }
 
@@ -74,11 +76,12 @@ def build_table(name: str, num_routes: int = 5_000, seed: int = 42):
 
 def app_over(
     name: str, table, seed: int = 42
-) -> Tuple[RouterApplication, Callable[..., List[bytearray]]]:
+) -> Tuple[RouterApplication, Callable[..., np.ndarray]]:
     """``(application, burst)`` over a :func:`build_table` table,
     deterministic in ``seed``; ``burst(packets, frame_len=None)`` draws
     the app's traffic at its natural minimum frame length unless told
-    otherwise."""
+    otherwise, as a ``(packets, frame_len)`` uint8 matrix, one frame a
+    row (what ``Chunk``, ``ShardMap`` and ``process_frames`` take)."""
     _, make_app, burst, natural_len = _entry(name)
     draw = getattr(PacketGenerator(seed), burst)
     return make_app(table, seed), lambda packets, frame_len=None: draw(
@@ -88,7 +91,7 @@ def app_over(
 
 def build_app(
     name: str, num_routes: int = 5_000, seed: int = 42
-) -> Tuple[RouterApplication, Callable[..., List[bytearray]]]:
+) -> Tuple[RouterApplication, Callable[..., np.ndarray]]:
     """:func:`app_over` a freshly built table."""
     return app_over(name, build_table(name, num_routes, seed), seed)
 

@@ -10,13 +10,21 @@ Calculation" documentation pass against this implementation.
 Flow affinity — all packets of one flow land in one queue, preserving
 intra-flow order (Section 5.3) — follows from the hash being a pure
 function of the tuple.
+
+Two forms of one hash: :meth:`RSSHasher.toeplitz`, bit-serial over one
+input (the oracle, and the NIC model's per-frame steering), and
+:meth:`RSSHasher.toeplitz_rows`, a whole burst's inputs at once through
+per-byte lookup tables — what :class:`ShardMap` steers with.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Union
 
-from repro.net.packet import FiveTuple, PacketParseError, parse_packet
+import numpy as np
+
+from repro.net.frames import FrameBatch, FrameLike
+from repro.net.packet import FiveTuple
 
 #: The de-facto standard 40-byte RSS secret key from the Microsoft RSS
 #: specification; drivers (including ixgbe) ship it as the default.
@@ -29,10 +37,6 @@ MICROSOFT_RSS_KEY = bytes(
         0x6A, 0x42, 0xB7, 0x3B, 0xBE, 0xAC, 0x01, 0xFA,
     ]
 )
-
-#: Flows a :class:`ShardMap` memoises before it clears and starts over:
-#: bounds the memo of a long-lived router under flow churn.
-FLOW_CACHE_MAX = 1 << 16
 
 
 class RSSHasher:
@@ -56,6 +60,23 @@ class RSSHasher:
             raise ValueError("RSS key too short")
         self.queue_map: List[int] = list(queue_map)
         self.key = key
+        # Input bit p (MSB first) XORs in the 32-bit key window starting
+        # at key bit p, so byte i of the input contributes the XOR of
+        # the windows of its set bits: one 256-entry table per byte
+        # position, derived from the key once.  Built by doubling from
+        # the least significant bit: values with that bit set are the
+        # values below it XOR its window.
+        key_bits, total = int.from_bytes(key, "big"), len(key) * 8
+        windows = np.array(
+            [(key_bits >> (total - 32 - p)) & 0xFFFFFFFF
+             for p in range(total - 32)],
+            dtype=np.uint32,
+        ).reshape(-1, 8)
+        tables = np.zeros((len(windows), 1), dtype=np.uint32)
+        for bit in range(7, -1, -1):
+            tables = np.hstack([tables, tables ^ windows[:, bit:bit + 1]])
+        #: ``(len(key) - 4, 256)``: byte position x byte value -> hash term.
+        self._tables = tables
 
     def toeplitz(self, data: bytes) -> int:
         """The Toeplitz hash of ``data`` under the configured key.
@@ -79,6 +100,17 @@ class RSSHasher:
                 position = i * 8 + bit + 1
                 window = (key_bits >> (total_bits - 32 - position)) & 0xFFFFFFFF
         return result
+
+    def toeplitz_rows(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`toeplitz` of every row of an ``(n, width)`` uint8
+        matrix, as a ``uint32`` column: one table lookup per input byte,
+        XOR-reduced along the row."""
+        width = rows.shape[1]
+        if width > len(self._tables):
+            raise ValueError(f"input of {width}B needs a key of {width + 4}B")
+        return np.bitwise_xor.reduce(
+            self._tables[np.arange(width), rows], axis=1
+        )
 
     @staticmethod
     def tuple_bytes(flow: FiveTuple) -> bytes:
@@ -116,12 +148,18 @@ class ShardMap:
     is pre-shaded, shaded, and post-shaded by one worker, so per-flow
     state (flow tables, reordering) never crosses a worker boundary.
 
+    A burst is steered as columns (:meth:`shards_of`): the 5-tuples are
+    gathered as one byte matrix per IP family and hashed by table, so
+    no per-frame parse and no per-flow state exist; a repeated flow
+    costs what a new one does and lands where its first packet did
+    because the hash is pure.
+
     Frames that carry no 5-tuple (ARP, malformed L3, unknown
     EtherTypes) cannot hash; they fall back to a deterministic
-    round-robin over shards via an internal counter, so chaos traffic
-    spreads evenly *and* a sequential re-partition of the same frame
-    stream lands every frame on the same shard — the property the
-    differential suite leans on.
+    round-robin over shards via an internal counter, in arrival order,
+    so chaos traffic spreads evenly *and* a sequential re-partition of
+    the same frame stream lands every frame on the same shard — the
+    property the differential suite leans on.
     """
 
     def __init__(self, num_shards: int, key: bytes = MICROSOFT_RSS_KEY) -> None:
@@ -129,41 +167,25 @@ class ShardMap:
             raise ValueError("num_shards must be >= 1")
         self.num_shards = num_shards
         self._hasher = RSSHasher(queue_map=range(num_shards), key=key)
-        #: Hash memo: 5-tuples repeat heavily (flows), the Toeplitz
-        #: inner loop is bit-serial; caching makes steering O(1) per
-        #: packet after a flow's first frame.  Cleared when it reaches
-        #: FLOW_CACHE_MAX entries — the hash is pure, so a cleared
-        #: memo changes cost, never placement.
-        self._cache: Dict[Tuple[int, int, int, int, int, bool], int] = {}
         #: Round-robin state for unhashable frames (see class docstring).
         self.fallbacks = 0
 
-    def shard_of_flow(self, flow: FiveTuple) -> int:
-        """The owning shard of a flow (pure, memoised)."""
-        memo_key = (
-            flow.src_ip, flow.dst_ip, flow.src_port, flow.dst_port,
-            flow.protocol, flow.is_ipv6,
-        )
-        shard = self._cache.get(memo_key)
-        if shard is None:
-            shard = self._hasher.hash_flow(flow) % self.num_shards
-            if len(self._cache) >= FLOW_CACHE_MAX:
-                self._cache.clear()
-            self._cache[memo_key] = shard
-        return shard
-
-    def shard_of_frame(self, frame) -> int:
-        """The owning shard of a raw frame (round-robin if unhashable)."""
-        flow: Optional[FiveTuple]
-        try:
-            flow = parse_packet(bytes(frame)).five_tuple()
-        except PacketParseError:
-            flow = None
-        if flow is None:
-            shard = self.fallbacks % self.num_shards
-            self.fallbacks += 1
-            return shard
-        return self.shard_of_flow(flow)
+    def shards_of(
+        self, frames: Union[Sequence[FrameLike], np.ndarray]
+    ) -> np.ndarray:
+        """The owning shard of every frame, in arrival order: an int64
+        column.  ``frames`` is a sequence of frames or a 2-D ``uint8``
+        array with one frame a row."""
+        batch = FrameBatch.from_frames(frames)
+        shards = np.empty(len(batch), dtype=np.int64)
+        hashed = np.zeros(len(batch), dtype=bool)
+        for indices, rows in batch.rss_rows():
+            shards[indices] = self._hasher.toeplitz_rows(rows) % self.num_shards
+            hashed[indices] = True
+        rest = np.flatnonzero(~hashed)
+        shards[rest] = (self.fallbacks + np.arange(len(rest))) % self.num_shards
+        self.fallbacks += len(rest)
+        return shards
 
     def partition(self, frames: Sequence) -> List[List]:
         """Split a frame stream into per-shard sub-streams.
@@ -171,7 +193,8 @@ class ShardMap:
         Relative order within each shard matches arrival order — the
         intra-flow ordering RSS guarantees (Section 5.3).
         """
-        shards: List[List] = [[] for _ in range(self.num_shards)]
-        for frame in frames:  # reprolint: ignore[RL006]
-            shards[self.shard_of_frame(frame)].append(frame)
-        return shards
+        shards = self.shards_of(frames)
+        return [
+            [frames[i] for i in np.flatnonzero(shards == shard).tolist()]
+            for shard in range(self.num_shards)
+        ]

@@ -35,13 +35,16 @@ wall-clock footprint (see docs/PERF.md).
 from __future__ import annotations
 
 import sys
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.net.checksum import checksum16_batch, checksum16_rows
-from repro.net.ethernet import ETHERNET_HEADER_LEN
-from repro.net.ipv4 import IPV4_HEADER_LEN
+from repro.net.ethernet import ETHERNET_HEADER_LEN, ETHERTYPE_IPV4, ETHERTYPE_IPV6
+from repro.net.ipv4 import IPV4_HEADER_LEN, PROTO_TCP, PROTO_UDP
+from repro.net.ipv6 import IPV6_HEADER_LEN
+from repro.net.tcp import TCP_HEADER_LEN
+from repro.net.udp import UDP_HEADER_LEN
 
 FrameLike = Union[bytes, bytearray, memoryview]
 
@@ -54,25 +57,35 @@ def _packed_offsets(lengths: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def pack_frames(frames: Sequence[FrameLike], out: Optional[memoryview] = None):
+def pack_frames(frames: Union[Sequence[FrameLike], np.ndarray],
+                out: Optional[memoryview] = None):
     """Pack frames into one contiguous store: ``(store, offsets, lengths)``.
 
     The single packing copy of the SoA data plane (chunk construction,
-    compaction, shm slot adoption all route through here).  With ``out``
-    the frames land in the caller-supplied buffer — e.g. a shared-memory
-    chunk-pool slot — and the returned store is a writable
-    ``memoryview`` slice of it; otherwise it is a fresh ``bytearray``.
-    Raises ``ValueError`` if ``out`` is too small.
+    compaction, shm slot adoption all route through here).  ``frames``
+    is a sequence of frames or a 2-D ``uint8`` array with one frame a
+    row, which is already the packed layout: one slice copy, no
+    per-frame object.  With ``out`` the frames land in the
+    caller-supplied buffer — e.g. a shared-memory chunk-pool slot — and
+    the returned store is a writable ``memoryview`` slice of it;
+    otherwise it is a fresh ``bytearray``.  Raises ``ValueError`` if
+    ``out`` is too small.
     """
-    lengths = np.fromiter(map(len, frames), dtype=np.int64, count=len(frames))
-    store = bytearray().join(frames)
-    if out is not None:
-        if len(store) > len(out):
+    if isinstance(frames, np.ndarray):
+        lengths = np.full(len(frames), frames.shape[1], dtype=np.int64)
+        packed = memoryview(np.ascontiguousarray(frames)).cast("B")
+    else:
+        lengths = np.fromiter(map(len, frames), dtype=np.int64, count=len(frames))
+        packed = bytearray().join(frames)
+    if out is None:
+        store = packed if isinstance(packed, bytearray) else bytearray(packed)
+    else:
+        if len(packed) > len(out):
             raise ValueError(
-                f"packed frames need {len(store)}B, buffer holds {len(out)}B"
+                f"packed frames need {len(packed)}B, buffer holds {len(out)}B"
             )
-        out[:len(store)] = store
-        store = out[:len(store)]
+        out[:len(packed)] = packed
+        store = out[:len(packed)]
     return store, _packed_offsets(lengths), lengths
 
 
@@ -163,6 +176,21 @@ class Frames:
 
 #: Byte weights of a big-endian 32-bit field (the dst-gather matmul).
 _BE32 = np.array([1 << 24, 1 << 16, 1 << 8, 1], dtype=np.uint32)
+
+#: What :meth:`FrameBatch.rss_rows` reads, per IP family: the EtherType;
+#: the (mask, value) the header's first byte must match (IPv4: version
+#: 4 and IHL 5, the parser refuses options; IPv6: version 6); where the
+#: protocol byte, the addresses and the transport header start.  Source
+#: and destination address, then the two ports, lie back to back in the
+#: frame — already the Microsoft RSS input layout.
+_RSS_FAMILIES = (
+    (ETHERTYPE_IPV4, (0xFF, 0x45), ETHERNET_HEADER_LEN + 9,
+     ETHERNET_HEADER_LEN + 12, ETHERNET_HEADER_LEN + IPV4_HEADER_LEN),
+    (ETHERTYPE_IPV6, (0xF0, 0x60), ETHERNET_HEADER_LEN + 6,
+     ETHERNET_HEADER_LEN + 8, ETHERNET_HEADER_LEN + IPV6_HEADER_LEN),
+)
+#: TCP's data offset byte, and the smallest one the parser accepts (5).
+_TCP_OFFSET_AT, _TCP_MIN_OFFSET = 12, 0x50
 
 #: Decrementing TTL in the *native* u16 word domain: TTL is the first
 #: byte of the big-endian TTL/protocol word, i.e. the low half of a
@@ -297,6 +325,43 @@ class FrameBatch:
     def ethertype_is(self, ethertype: int) -> np.ndarray:
         """Mask of frames carrying ``ethertype`` (False where short)."""
         return self.bytes_equal(12, ethertype.to_bytes(2, "big"))
+
+    def rss_rows(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The RSS hash input of every hashable frame, per IP family:
+        ``[(indices, rows)]`` for IPv4, then IPv6.
+
+        ``rows[k]`` is the source and destination address and port of
+        frame ``indices[k]``, big-endian — ``RSSHasher.tuple_bytes`` of
+        its 5-tuple: ``(k, 12)`` for IPv4, ``(k, 36)`` for IPv6.  A frame
+        is listed exactly where ``parse_packet(frame).five_tuple()``
+        returns a tuple without raising: an untagged, complete IPv4
+        header of version 4 and IHL 5, or IPv6 header of version 6, and
+        no TCP header whose data offset is below 5.  Its ports are zero,
+        as the parser has them, where the transport is neither UDP nor
+        TCP or the frame ends before that header does.
+        """
+        version = self.byte_at(ETHERNET_HEADER_LEN)
+        families = []
+        for ethertype, (mask, value), proto_at, start, l4 in _RSS_FAMILIES:
+            hashable = (
+                self.ethertype_is(ethertype) & self.long_enough(l4)
+                & ((version & mask) == value)
+            )
+            proto = self.byte_at(proto_at)
+            udp = (proto == PROTO_UDP) & self.long_enough(l4 + UDP_HEADER_LEN)
+            tcp = (proto == PROTO_TCP) & self.long_enough(l4 + TCP_HEADER_LEN)
+            hashable &= ~(tcp & (self.byte_at(l4 + _TCP_OFFSET_AT) < _TCP_MIN_OFFSET))
+            indices = np.flatnonzero(hashable)
+            ported = (udp | tcp)[indices]
+            width = l4 + 4 - start
+            if ported.all():
+                rows = self.gather(indices, start, width)
+            else:
+                rows = np.zeros((len(indices), width), dtype=np.uint8)
+                rows[:, :-4] = self.gather(indices, start, width - 4)
+                rows[ported, -4:] = self.gather(indices[ported], l4, 4)
+            families.append((indices, rows))
+        return families
 
     def ipv4_dsts(self) -> np.ndarray:
         """IPv4 destination address column (uint32, 0 where too short)."""

@@ -31,8 +31,9 @@ Topology and protocol:
   with it every observability handle (generator counters, flow-table
   counters), after its obs stack is attached — then regenerates the
   *full* deterministic ingress stream from the spec's seed, burst by
-  burst, and keeps only its shard's frames: the software analogue of
-  every RSS engine hashing every arriving packet exactly once;
+  burst, hashes it as one column and keeps only its shard's rows: the
+  software analogue of every RSS engine hashing every arriving packet
+  exactly once;
 * a worker signals completion with a ``("done", worker_id)`` sentinel
   after a blocking transport flush, then reports its totals on the
   report queue; the master exits once every worker is done and the
@@ -55,6 +56,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.apps import app_over, build_table
 from repro.calib.constants import SYSTEM
 from repro.core.chunk import Chunk
@@ -72,7 +75,10 @@ from repro.shard.pool import ShmChunkPool, pool_name
 
 @dataclass
 class PlaneSpec:
-    """One sharded run — plain data, picklable across spawn (RL010)."""
+    """One sharded run — plain data, picklable across spawn (the
+    forced-``spawn`` plane in ``tests/shard/test_plane.py::TestOnce``
+    pickles it; ``tests/analysis/test_rl010_pickle_safety.py`` pins
+    the other boundary payloads)."""
 
     app: str = "ipv4"
     workers: int = 2
@@ -218,15 +224,16 @@ def _build_table(spec: PlaneSpec):
     return build_table(spec.app, spec.num_routes, spec.seed)
 
 
-def _build_app(spec: PlaneSpec, table) -> Tuple[object, Callable[[], List[bytearray]]]:
+def _build_app(spec: PlaneSpec, table) -> Tuple[object, Callable[[], np.ndarray]]:
     """(application, burst function) over the plane's table.
 
     Every shard calls this with the *same* seed: identical full frame
-    stream.  Per-shard traffic comes from the ShardMap partition, never
+    stream.  Per-shard traffic comes from the ShardMap steering, never
     from per-worker seeds, so the union of all shards is exactly the
-    unsharded stream.  Frames have the app's natural minimum length
-    (64 B, 78 B for IPv6).  Everything that binds an observability
-    handle is built here, in the process that runs the shard.
+    unsharded stream.  A burst is a ``(packets, frame_len)`` uint8
+    matrix at the app's natural minimum length (64 B, 78 B for IPv6),
+    one frame a row.  Everything that binds an observability handle is
+    built here, in the process that runs the shard.
     """
     app, burst = app_over(spec.app, table, spec.seed)
     return app, lambda: burst(spec.packets)
@@ -237,12 +244,14 @@ def _run_shard(spec: PlaneSpec, worker_id: int, table,
                transport: Optional[RemoteMasterClient] = None) -> WorkerReport:
     """The shard loop: one shard's share of the stream through one router.
 
-    Streams burst by burst: generate the full burst, keep this shard's
-    share, chunk it at the RX edge (packed straight into ``pool`` slots
-    when there is a pool, heap chunks otherwise), run the workflow.  A
+    Streams burst by burst, as columns from generator to chunk: generate
+    the full burst as rows, steer it to a shard column, keep this
+    shard's rows, chunk them at the RX edge from row slices (packed
+    straight into ``pool`` slots when there is a pool, heap chunks
+    otherwise), run the workflow — no per-frame object on the way.  A
     single :class:`ShardMap` persists across bursts so the round-robin
     fallback for unhashable frames stays globally deterministic —
-    every shard's independent partition of the same stream lands every
+    every shard's independent steering of the same stream lands every
     frame on the same shard.  With a ``transport`` the master is another
     process; without one it is the router's own.
     """
@@ -260,7 +269,8 @@ def _run_shard(spec: PlaneSpec, worker_id: int, table,
             egress_counts[port] += len(frames)
 
     for _ in range(spec.bursts):
-        share = shard_map.partition(burst_fn())[worker_id]
+        rows = burst_fn()
+        share = rows[shard_map.shards_of(rows) == worker_id]
         chunks = [
             build_chunk(share[start:start + cap])
             for start in range(0, len(share), cap)

@@ -19,7 +19,6 @@ import pytest
 
 from repro.core.chunk import Chunk
 from repro.faults.scenarios import run_scenario
-from repro.io_engine import rss
 from repro.io_engine.rss import RSSHasher, ShardMap
 from repro.obs import names
 from repro.shard import plane
@@ -94,26 +93,30 @@ class TestShardMap:
         report = run_plane_inprocess(spec)
         assert [w.received for w in report.workers] == expected
 
-    def test_flow_memo_is_capped_and_placement_unchanged(self, monkeypatch):
+    def test_flow_memo_is_capped_and_placement_unchanged(self):
+        """No flow memo: a repeated flow lands where its first packet
+        did because the hash is pure, and steering any number of flows
+        leaves the map the size it was built."""
         from repro.net.packet import build_udp_ipv4
 
-        cap = 32
-        frames = [
-            build_udp_ipv4(
-                0x0A000001 + i, 0xC0A80001, 1024 + i, 53, frame_len=64
-            )
-            for i in range(2 * cap)
-        ] * 2
-        uncapped = ShardMap(3).partition(frames)
-        monkeypatch.setattr(rss, "FLOW_CACHE_MAX", cap)
-        capped_map = ShardMap(3)
-        sizes = []
-        capped = [[] for _ in range(3)]
-        for frame in frames:
-            capped[capped_map.shard_of_frame(frame)].append(frame)
-            sizes.append(len(capped_map._cache))
-        assert max(sizes) == cap
-        assert capped == uncapped
+        def flows(count):
+            return [
+                build_udp_ipv4(
+                    0x0A000001 + i, 0xC0A80001, 1024 + i % 60000, 53,
+                    frame_len=64,
+                )
+                for i in range(count)
+            ]
+
+        shard_map = ShardMap(3)
+        built = pickle.dumps(shard_map)
+        first = flows(64)
+        shards = shard_map.shards_of(first + first[::-1] + first)
+        assert (shards[64:128] == shards[:64][::-1]).all()
+        assert (shards[128:] == shards[:64]).all()
+        shard_map.partition(flows(4096))
+        assert pickle.dumps(shard_map) == built
+        assert set(vars(shard_map)) == {"num_shards", "_hasher", "fallbacks"}
 
 
 class TestDifferential:
@@ -214,8 +217,9 @@ class TestOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"build": 0, "toeplitz": 0}
-        build_app, toeplitz = plane._build_app, RSSHasher.toeplitz
+        counts = {"build": 0, "toeplitz": 0, "toeplitz_rows": 0}
+        build_app = plane._build_app
+        toeplitz, toeplitz_rows = RSSHasher.toeplitz, RSSHasher.toeplitz_rows
 
         def counting_build(*args):
             counts["build"] += 1
@@ -225,16 +229,24 @@ class TestOnce:
             counts["toeplitz"] += 1
             return toeplitz(self, data)
 
+        def counting_toeplitz_rows(self, rows):
+            counts["toeplitz_rows"] += len(rows)
+            return toeplitz_rows(self, rows)
+
         monkeypatch.setattr(plane, "_build_app", counting_build)
         monkeypatch.setattr(RSSHasher, "toeplitz", counting_toeplitz)
+        monkeypatch.setattr(RSSHasher, "toeplitz_rows", counting_toeplitz_rows)
         return counts
 
     def test_one_worker_reference_hashes_each_packet_once(self, calls):
+        """Every packet is hashed once, as a row of its burst's column;
+        the bit-serial scalar hash never runs on the shard loop."""
         spec = small_spec(workers=1)
         report = run_plane_inprocess(spec)
         assert report.conservation_ok
         assert calls == {
-            "build": 1, "toeplitz": spec.packets * spec.bursts,
+            "build": 1, "toeplitz": 0,
+            "toeplitz_rows": spec.packets * spec.bursts,
         }
 
     def test_one_app_per_shard(self, calls):
