@@ -4,9 +4,9 @@ The sharding acceptance bar (docs/SHARDING.md): the capacity model
 must scale near-linearly through four workers (ipv4 speedup >= 3.0 at
 4 workers) and hit the packet I/O ceiling — not a shading stage — by
 eight.  Runs through the perf registry and emits ``BENCH_scaling.json``;
-the measured multi-process wall-clock companion is
-``python -m repro bench --wallclock --workers N`` (history-only, since
-real speedup depends on the host's core count).
+the measured multi-process wall-clock companion is the wall-clock
+benchmark's ``shard.scaling_2w_over_1w`` (``bench/``), since real
+speedup depends on the host's core count.
 """
 
 

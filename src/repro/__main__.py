@@ -14,34 +14,33 @@ dashboard over the metrics registry, profiler, and flight recorder
 plane (docs/SHARDING.md).
 """
 
+import importlib
 import sys
 
-from repro.analysis.cli import lint_main
-from repro.obs.flightrec import flightrec_main
-from repro.obs.top import top_main
-from repro.perf.cli import bench_main
-from repro.report import chaos_main, main, metrics_main, trace_main
-from repro.shard.cli import run_main
-
+#: Subcommand -> (module, function).  A module is imported only when its
+#: subcommand runs, so ``repro run`` does not pay for the linter, the
+#: scorecard or the dashboards.
 _COMMANDS = {
-    "trace": trace_main,
-    "metrics": metrics_main,
-    "chaos": chaos_main,
-    "lint": lint_main,
-    "bench": bench_main,
-    "flightrec": flightrec_main,
-    "top": top_main,
-    "run": run_main,
+    "trace": ("repro.report", "trace_main"),
+    "metrics": ("repro.report", "metrics_main"),
+    "chaos": ("repro.report", "chaos_main"),
+    "lint": ("repro.analysis.cli", "lint_main"),
+    "bench": ("repro.perf.cli", "bench_main"),
+    "flightrec": ("repro.obs.flightrec", "flightrec_main"),
+    "top": ("repro.obs.top", "top_main"),
+    "run": ("repro.shard.cli", "run_main"),
 }
 
 argv = sys.argv[1:]
 if argv and argv[0] in _COMMANDS:
-    sys.exit(_COMMANDS[argv[0]](argv[1:]))
-if argv and not argv[0].startswith("-"):
+    module, function = _COMMANDS[argv.pop(0)]
+elif argv and not argv[0].startswith("-"):
     print(
         f"python -m repro: unknown command {argv[0]!r} "
         f"(choose from {', '.join(sorted(_COMMANDS))})",
         file=sys.stderr,
     )
     sys.exit(2)
-sys.exit(main())
+else:
+    module, function = "repro.report", "main"
+sys.exit(getattr(importlib.import_module(module), function)(argv))

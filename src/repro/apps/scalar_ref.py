@@ -4,12 +4,9 @@ These are the pre-vectorization per-packet loops, kept verbatim as the
 *reference semantics* for the structure-of-arrays fast path in
 :mod:`repro.apps.ipv4` / :mod:`repro.apps.ipv6`:
 
-- the differential tests fuzz malformed/valid frame mixes through both
-  formulations and require identical verdicts, slow-path reason counts,
-  and egress maps;
-- the wall-clock microbenchmark (``python -m repro bench --wallclock``)
-  times the scalar loop against the vectorized path to record the
-  speedup.
+the differential tests fuzz malformed/valid frame mixes through both
+formulations and require identical verdicts, slow-path reason counts,
+and egress maps.
 
 The per-packet loops here are deliberate — this module IS the slow
 formulation — hence the RL006 suppressions.

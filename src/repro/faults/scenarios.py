@@ -358,13 +358,11 @@ def run_scenario(
     sharded differential suite asserts.  Whole-stream extras
     (established/attack traffic splits) are reported only unsharded.
     """
-    from repro.apps.ipv4 import IPv4Forwarder
     from repro.core.solver import (
         app_throughput_report,
         degraded_throughput_report,
     )
     from repro.gen.adversarial import build_schedule
-    from repro.gen.workloads import ipv4_workload
     from repro.testbed import Testbed
 
     scenario = SCENARIOS.get(name)
@@ -385,32 +383,19 @@ def run_scenario(
     if scenario.app == "openflow":
         schedule = build_schedule(scenario.traffic, packets, seed, burst)
         app, switch, controller = _openflow_setup(schedule, seed)
-        bed = Testbed(app, fault_injector=injector, overload=overload)
-    elif scenario.overload:
+        num_ports = 4
+    else:
         app, dst_pool = _ipv4_setup(seed, num_routes)
         schedule = build_schedule(
             scenario.traffic, packets, seed, burst, dst_pool=dst_pool
         )
-        # Eight egress ports so every next hop has a wire to land on —
-        # established goodput is counted at the sink.
-        bed = Testbed(
-            app, num_ports=8, fault_injector=injector, overload=overload
-        )
-    else:
-        # The historical path, byte-for-byte: uniform traffic from the
-        # workload's own generator.
-        workload = ipv4_workload(num_routes=num_routes, seed=seed)
-        app = IPv4Forwarder(workload.table)
-        schedule = None
-        bed = Testbed(app, fault_injector=injector)
-    if schedule is None:
-        frames: List[bytearray] = workload.generator.ipv4_burst(packets)
-        bursts = [
-            frames[start:start + burst]
-            for start in range(0, len(frames), burst)
-        ]
-    else:
-        bursts = schedule.bursts
+        # Flood runs get eight egress ports so every next hop has a wire
+        # to land on (established goodput is counted at the sink).
+        num_ports = 8 if scenario.overload else 4
+    bed = Testbed(
+        app, num_ports=num_ports, fault_injector=injector, overload=overload
+    )
+    bursts = schedule.bursts
     if shard is not None:
         shard_index, num_shards = shard
         if not 0 <= shard_index < num_shards:
@@ -487,7 +472,7 @@ def run_scenario(
         report.flow_rejected = switch.exact.rejected_inserts
         report.flow_table_len = len(switch.exact)
         report.flow_table_cap = switch.exact.max_entries
-    if schedule is not None and schedule.established and shard is None:
+    if schedule.established and shard is None:
         report.established_packets = schedule.established_packets
         report.attack_packets = schedule.attack_packets
         report.established_delivered = _count_established(

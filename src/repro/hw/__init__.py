@@ -5,7 +5,7 @@ X5550, two GTX480s, four dual-port 82599 NICs on a dual-IOH board).  Each
 model does two jobs:
 
 * *functional*: the GPU executes real (Python/numpy) kernels over real
-  data; the NIC maintains real descriptor rings and RSS dispatch; the cache
+  data; the NIC maintains real TX descriptor rings; the cache
   model tracks real line states — so correctness is testable;
 * *temporal*: every operation returns or accumulates modelled nanoseconds,
   with constants calibrated in :mod:`repro.calib.constants` against the
@@ -16,7 +16,7 @@ from repro.hw.pcie import PCIeLink
 from repro.hw.cpu import CPUCore, CPUSocket, memory_access_time
 from repro.hw.cache import CacheModel, CacheStats
 from repro.hw.gpu import GPUDevice, KernelSpec, LaunchResult
-from repro.hw.nic import NICPort, RxQueue, TxQueue
+from repro.hw.nic import NICPort, TxQueue
 from repro.hw.numa import IOHub, NUMANode, SystemTopology
 from repro.hw.divergence import (
     divergence_report,
@@ -41,7 +41,6 @@ __all__ = [
     "NICPort",
     "NUMANode",
     "PCIeLink",
-    "RxQueue",
     "SystemTopology",
     "TxQueue",
     "memory_access_time",

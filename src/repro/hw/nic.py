@@ -1,23 +1,23 @@
 """Intel 82599-like 10 GbE NIC model (paper Sections 3.1 and 4).
 
-Functional pieces: RX/TX descriptor rings over the huge packet buffer,
-RSS dispatch of incoming frames to per-core RX queues, per-queue statistics
-(the Section 4.4 fix for the shared-counter coherence problem), and the
-interrupt/polling state used by the livelock-avoidance scheme (Section 5.2).
+Functional pieces: per-core TX descriptor rings, per-queue statistics
+(the Section 4.4 fix for the shared-counter coherence problem), the
+port's line rate, and the interrupt-moderation delay used by the
+livelock-avoidance scheme (Section 5.2).
 
-Rings hold indices into buffer cells, as the real hardware holds DMA
-addresses; frames themselves live in :class:`repro.io_engine.hugebuf`
-cells.
+The RX rings live in the I/O engine, one per queue:
+:class:`repro.io_engine.driver.OptimizedDriver` DMAs each frame into a
+:class:`repro.io_engine.hugebuf.HugePacketBuffer` cell of the queue that
+:class:`repro.io_engine.rss.RSSHasher` picked.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List
 
 from repro.calib.constants import NIC, NICModel
-from repro.faults.plan import FaultInjector, Sites
 from repro.net.ethernet import wire_bits
 
 
@@ -39,48 +39,6 @@ class QueueStats:
         self.bytes += other.bytes
         self.drops += other.drops
         return self
-
-
-class RxQueue:
-    """One RX descriptor ring.
-
-    A bounded FIFO of received frames; overflow (ring full when a frame
-    arrives) is a tail drop, exactly as on hardware when the host cannot
-    keep up.
-    """
-
-    def __init__(self, queue_id: int, ring_size: int = 0, model: NICModel = NIC):
-        self.queue_id = queue_id
-        self.ring_size = ring_size or model.rx_ring_size
-        self._ring: Deque = deque()
-        self.stats = QueueStats()
-        self.interrupt_enabled = True
-
-    def __len__(self) -> int:
-        return len(self._ring)
-
-    @property
-    def full(self) -> bool:
-        return len(self._ring) >= self.ring_size
-
-    def deliver(self, frame) -> bool:
-        """Hardware-side: DMA a received frame into the ring.
-
-        Returns False (and counts a drop) if the ring is full.
-        """
-        if self.full:
-            self.stats.drops += 1
-            return False
-        self._ring.append(frame)
-        self.stats.add(len(frame))
-        return True
-
-    def fetch(self, max_packets: int) -> List:
-        """Host-side: drain up to ``max_packets`` frames (batched RX)."""
-        if max_packets <= 0:
-            raise ValueError("max_packets must be positive")
-        count = min(max_packets, len(self._ring))
-        return [self._ring.popleft() for _ in range(count)]
 
 
 class TxQueue:
@@ -125,13 +83,10 @@ class TxQueue:
 
 
 class NICPort:
-    """One 10 GbE port with multiple core-aware RX/TX queue pairs.
+    """One 10 GbE port with one TX queue per serving CPU core (Section 4.4).
 
-    ``num_queues`` RX and TX queues, one pair per serving CPU core
-    (Section 4.4).  Incoming frames are spread by RSS; the
-    :class:`repro.io_engine.rss.RSSHasher` computes the Toeplitz hash and
-    this port maps ``hash % num_queues`` to a queue, as the 82599 does with
-    its indirection table.
+    The RX side is :class:`repro.io_engine.driver.OptimizedDriver`,
+    whose per-queue huge packet buffers are the RX rings.
     """
 
     def __init__(
@@ -140,44 +95,13 @@ class NICPort:
         node: int = 0,
         num_queues: int = 4,
         model: NICModel = NIC,
-        fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         if num_queues <= 0:
             raise ValueError("num_queues must be positive")
         self.port_id = port_id
         self.node = node
         self.model = model
-        self.fault_injector = fault_injector
-        self.rx_queues = [RxQueue(i, model=model) for i in range(num_queues)]
         self.tx_queues = [TxQueue(i, model=model) for i in range(num_queues)]
-
-    @property
-    def num_queues(self) -> int:
-        return len(self.rx_queues)
-
-    def receive(self, frame, rss_hash: int) -> bool:
-        """Deliver an incoming frame to the RSS-selected RX queue.
-
-        An attached fault injector models the wire and the host falling
-        behind: frames may arrive corrupted (truncated, garbage bytes,
-        bad checksum — the adversarial-traffic evaluations of
-        Benchmarking-NFV-dataplanes) or find the ring full.
-        """
-        queue = self.rx_queues[rss_hash % self.num_queues]
-        if self.fault_injector is not None:
-            frame, _ = self.fault_injector.corrupt_frame(frame)
-            if self.fault_injector.should_fire(Sites.RX_RING_OVERFLOW):
-                queue.stats.drops += 1
-                return False
-        return queue.deliver(frame)
-
-    def aggregate_stats(self) -> QueueStats:
-        """On-demand accumulation of per-queue counters (the cheap-stats
-        scheme of Section 4.4 — what ifconfig/ethtool would trigger)."""
-        total = QueueStats()
-        for queue in self.rx_queues:
-            total += queue.stats
-        return total
 
     def line_rate_pps(self, frame_len: int) -> float:
         """Packets/s the 10 GbE line sustains at ``frame_len`` (wire

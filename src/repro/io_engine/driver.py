@@ -1,6 +1,6 @@
 """The NIC device drivers: unmodified baseline and the optimized engine.
 
-Two functional drivers over the same :class:`repro.hw.nic.NICPort`:
+The RX side of the NIC, as two functional drivers:
 
 * :class:`UnmodifiedDriver` — the stock ixgbe-like RX path: per-packet
   skb allocation, initialization, and free, with DMA cache invalidation.

@@ -48,18 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list", action="store_true", help="list registered benchmarks"
     )
-    parser.add_argument(
-        "--wallclock", action="store_true",
-        help="run the scalar-vs-vectorized wall-clock microbenchmarks "
-        "and append to the git-ignored bench-history.jsonl (simulated "
-        "artifacts are untouched)",
-    )
-    parser.add_argument(
-        "--workers", type=int, action="append", metavar="N",
-        help="with --wallclock: time the real sharded plane at this "
-        "worker count instead (repeatable, e.g. --workers 1 --workers 4); "
-        "measured scaling is host-dependent and goes to history only",
-    )
     return parser
 
 
@@ -93,28 +81,6 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
     if args.list:
         for figure in figure_ids():
             print(figure)
-        return 0
-
-    if args.workers and not args.wallclock:
-        print("--workers only applies with --wallclock", file=sys.stderr)
-        return 2
-
-    if args.wallclock:
-        from repro.perf import wallclock
-
-        if args.workers:
-            counts = tuple(sorted(set(args.workers)))
-            if any(count < 1 for count in counts):
-                print("--workers must be >= 1", file=sys.stderr)
-                return 2
-            results = wallclock.run_scaling_wallclock(counts)
-            print(wallclock.format_scaling(results))
-        else:
-            results = wallclock.run_wallclock()
-            print(wallclock.format_wallclock(results))
-        if not args.no_write:
-            path = wallclock.append_wallclock_history(results)
-            print(f"history appended: {path}")
         return 0
 
     if args.figure:

@@ -689,8 +689,8 @@ def produce_scaling(quick: bool = False) -> BenchResult:
     same model every Figure 11 number comes from.  The committed figure
     is deterministic by design; measured wall-clock scaling depends on
     how many cores the host actually has (CI runners may have one), so
-    it lives only in the git-ignored history via
-    ``python -m repro bench --wallclock --workers N``.
+    it is measured by the wall-clock benchmark (``bench/``:
+    ``shard.fork1_kpps``, ``shard.scaling_2w_over_1w``) instead.
 
     The expected shape: linear through 4 workers (the worker stage is
     the bottleneck), then the I/O engine caps the curve at 8 — shading

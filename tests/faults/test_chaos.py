@@ -13,6 +13,9 @@ The two load-bearing assertions of the resilience work
   path, it does not collapse).
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.apps.ipv4 import IPv4Forwarder
@@ -31,6 +34,34 @@ from repro.gen.workloads import ipv4_workload
 from repro.obs import Stages, get_registry, get_tracer, reset_registry, reset_tracer
 
 SEEDS = (1, 2, 3)
+
+#: sha256 of ``json.dumps(run_scenario(name, seed=1, packets=512).to_dict(),
+#: sort_keys=True)``.  Any change to a scenario's traffic, wiring or
+#: accounting moves its digest.
+REPORT_DIGESTS = {
+    "breaker":
+        "0d411978383db8eb7d619b6d4c0aaebf9f8bbed529c78fb68c111ad33e490f6d",
+    "chaos":
+        "21b250a46cbea947c88c7fa90796700f792553ebce987ff4ab316f0344755b50",
+    "ddos":
+        "cc6dfd4db24854b6147cbcafa20d0f2690c93e3aef72b941c995fd4c9ccab43d",
+    "dma-error":
+        "a6db7868b424ea633e7d3567afb3075393c0aebf611bc153470c7f839c529b00",
+    "gpu-failure":
+        "0819f4ca81e5bd8bf557bae781f501fb324e303359a36bb6f163d3018a72af77",
+    "gpu-timeout":
+        "fb005481fb0faaecd2d48669525dfaaf80d2c0fdd01092384a22f53ec1960fa3",
+    "heavy-tail":
+        "f588572709006528dd30a9579dfc699938a649efcdcdd08c52becb609807b5e1",
+    "malformed":
+        "462c4f535b607d4d73a84a61f5940897fda1a8ec4dcf2b60879c3da32f5f4700",
+    "queue-overflow":
+        "dce1699da4611cbbf598d6201257fb2bd20f2a6d72323521523083f2e5f6e5e4",
+    "rx-overflow":
+        "c1973b31de2dae9d329f52f4fbaa3a45b18b6c498a15dcb575a5572e781bc10f",
+    "syn-flood":
+        "87fb2aabbdbe30589acc05786e4fee043c7af920a384627113bf85c737e0fbda",
+}
 
 
 @pytest.fixture(autouse=True)
@@ -86,6 +117,14 @@ class TestScenarioConservation:
         reset_tracer()
         second = run_scenario(name, seed=2, packets=256).to_dict()
         assert first == second
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_report_is_pinned(self, name):
+        report = run_scenario(name, seed=1, packets=512).to_dict()
+        digest = hashlib.sha256(
+            json.dumps(report, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == REPORT_DIGESTS[name], report
 
     def test_faults_actually_fire(self):
         report = run_scenario("chaos", seed=1, packets=512)

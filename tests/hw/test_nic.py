@@ -1,4 +1,4 @@
-"""NIC model: rings, RSS dispatch, per-queue stats, moderation."""
+"""NIC model: TX rings, per-queue stats, line rate, moderation."""
 
 import pytest
 
@@ -6,39 +6,9 @@ from repro.calib.constants import NIC
 from repro.hw.nic import (
     NICPort,
     QueueStats,
-    RxQueue,
     TxQueue,
     interrupt_extra_delay_ns,
 )
-
-
-class TestRxQueue:
-    def test_deliver_and_fetch_fifo(self):
-        queue = RxQueue(0, ring_size=4)
-        for i in range(3):
-            assert queue.deliver(bytes([i]) * 64)
-        frames = queue.fetch(10)
-        assert [f[0] for f in frames] == [0, 1, 2]
-        assert len(queue) == 0
-
-    def test_overflow_drops(self):
-        queue = RxQueue(0, ring_size=2)
-        assert queue.deliver(b"a" * 64)
-        assert queue.deliver(b"b" * 64)
-        assert not queue.deliver(b"c" * 64)
-        assert queue.stats.drops == 1
-        assert queue.stats.packets == 2
-
-    def test_fetch_respects_limit(self):
-        queue = RxQueue(0, ring_size=8)
-        for _ in range(5):
-            queue.deliver(b"x" * 64)
-        assert len(queue.fetch(3)) == 3
-        assert len(queue) == 2
-
-    def test_fetch_validates(self):
-        with pytest.raises(ValueError):
-            RxQueue(0).fetch(0)
 
 
 class TestTxQueue:
@@ -58,19 +28,6 @@ class TestTxQueue:
 
 
 class TestNICPort:
-    def test_rss_spreads_to_selected_queue(self):
-        port = NICPort(0, num_queues=4)
-        port.receive(b"x" * 64, rss_hash=5)
-        assert len(port.rx_queues[1]) == 1  # 5 % 4
-
-    def test_aggregate_stats_sums_queues(self):
-        port = NICPort(0, num_queues=2)
-        port.receive(b"x" * 64, rss_hash=0)
-        port.receive(b"y" * 100, rss_hash=1)
-        total = port.aggregate_stats()
-        assert total.packets == 2
-        assert total.bytes == 164
-
     def test_line_rate_pps(self):
         port = NICPort(0)
         # 10 Gbps / 704 bits = 14.2 Mpps for 64B frames.
