@@ -113,8 +113,8 @@ class PCIeModel:
 
     The model is ``t(bytes) = fixed_ns + bytes / bandwidth``; the two
     directions differ because of the dual-IOH asymmetry (Section 3.2).
-    Fitted to all seven Table 1 columns (within ~12%; see
-    benchmarks/test_table1_pcie.py for the side-by-side).
+    Fitted to all seven Table 1 columns (within ~12%; ``BENCH_table1.json``
+    has the side-by-side).
     """
 
     #: Host-to-device fixed cost per transfer, ns (fits 256 B @ 55 MB/s).

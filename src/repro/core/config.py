@@ -3,8 +3,9 @@
 Encodes the two evaluated modes (Section 6.1): CPU-only runs eight worker
 threads (no shading step, so no masters); CPU+GPU runs three workers plus
 one master per quad-core node, every thread hard-affinitized to its core.
-The optimization toggles correspond to Section 5.4 and exist so the
-ablation benchmarks can turn each off.
+The optimization toggles correspond to Sections 4.5 and 5.4; the
+capacity and latency models read them, so a test or figure can turn
+each one off.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from repro.calib.constants import FRAMEWORK, SYSTEM, FrameworkCosts, SystemSpec
+from repro.calib.constants import FRAMEWORK, SYSTEM, SystemSpec
 
 
 class ThreadRole(enum.Enum):
@@ -30,7 +31,6 @@ class RouterConfig:
     #: Maximum packets per chunk (Section 5.3: capped, never waited for).
     chunk_capacity: int = FRAMEWORK.chunk_capacity
     #: Section 5.4 optimizations.
-    chunk_pipelining: bool = True
     gather_scatter: bool = True
     #: Concurrent copy and execution (streams); the paper enables it only
     #: for IPsec ("using multiple streams significantly degrades the
@@ -41,7 +41,6 @@ class RouterConfig:
     #: NUMA-aware data placement and RSS steering (Section 4.5).
     numa_aware: bool = True
     system: SystemSpec = field(default_factory=lambda: SYSTEM)
-    framework_costs: FrameworkCosts = field(default_factory=lambda: FRAMEWORK)
 
     def __post_init__(self) -> None:
         if self.chunk_capacity < 1:

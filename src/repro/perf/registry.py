@@ -7,13 +7,11 @@ the payload is labelled.  Producers are plain callables taking a
 horizons for CI without changing any calibrated model, so headline
 numbers agree between modes within the gate's tolerances.
 
-The registry is what both consumers enumerate:
-
-* ``python -m repro bench`` (:mod:`repro.perf.runner`) runs every spec
-  through the schema'd emission pipeline;
-* the pytest benchmarks (``benchmarks/test_*.py``) call the same
-  producers through a thin adapter, assert the paper anchors, and emit
-  the same JSON artifacts.
+``python -m repro bench`` (:mod:`repro.perf.runner`) runs every spec
+through the schema'd emission pipeline and is the only writer of the
+``BENCH_<figure>.json`` artifacts; ``tests/perf/test_figures.py`` runs
+the same producers once more, without writing, to assert each figure's
+tolerance, paper anchors and shape.
 """
 
 from __future__ import annotations

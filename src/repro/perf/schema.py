@@ -30,8 +30,8 @@ from typing import Dict, List, Optional
 SCHEMA_VERSION = 1
 
 #: Figure payload fields, in written order.  ``divergence`` is optional:
-#: the pytest adapter scores figures that have a paper reference and
-#: omits the block for extension benches scored by anchors only.
+#: the runner scores figures that have a reference-table entry and
+#: omits the block for any figure without one.
 _REQUIRED_FIELDS = (
     "schema_version",
     "figure",

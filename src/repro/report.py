@@ -79,7 +79,7 @@ def main(argv=None) -> int:
     _line("power full load CPU->GPU (Sec 7)", "353 -> 594 W",
           f"{SYSTEM.power_full_cpu_w} -> {SYSTEM.power_full_gpu_w} W")
     print("-" * 78)
-    print("full sweeps: pytest benchmarks/ --benchmark-only -s")
+    print("full sweeps: python -m repro bench --quick")
     print("per-stage trace: python -m repro trace | metrics")
     return 0
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.core.chunk import Chunk
 from repro.core.config import RouterConfig
 from repro.core.framework import PacketShader
@@ -36,7 +38,7 @@ from repro.io_engine.driver import OptimizedDriver
 from repro.io_engine.engine import PacketIOEngine
 from repro.io_engine.rss import RSSHasher
 from repro.hw.nic import NICPort
-from repro.net.packet import parse_packet
+from repro.net.frames import FrameBatch
 
 
 @dataclass
@@ -110,17 +112,16 @@ class Testbed:
         if port not in self.drivers:
             raise ValueError(f"unknown port {port}")
         driver = self.drivers[port]
-        accepted = 0
         # Not ShardMap: this NIC model puts frames without a 5-tuple on
         # queue 0 where ShardMap round-robins them, and the committed
         # BENCH_degraded.json depends on that placement.
-        for frame in frames:
-            flow = None
-            try:
-                flow = parse_packet(bytes(frame)).five_tuple()
-            except ValueError:
-                pass
-            queue = self.rss.queue_for(flow) if flow else 0
+        queues = np.zeros(len(frames), dtype=np.int64)
+        queue_map = np.asarray(self.rss.queue_map)
+        for indices, rows in FrameBatch.from_frames(frames).rss_rows():
+            hashes = self.rss.toeplitz_rows(rows)
+            queues[indices] = queue_map[hashes % len(queue_map)]
+        accepted = 0
+        for frame, queue in zip(frames, queues.tolist()):
             if driver.deliver(queue, bytes(frame)):
                 accepted += 1
             else:

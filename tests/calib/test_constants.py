@@ -1,8 +1,9 @@
 """Sanity invariants over the calibrated constants.
 
-These tests don't re-derive the fits (the benchmarks do); they pin the
-physical relationships that must hold whatever the exact values, so a
-careless recalibration cannot produce a self-contradictory model.
+These tests don't re-derive the fits (``tests/perf/test_figures.py``
+checks the figures they produce); they pin the physical relationships
+that must hold whatever the exact values, so a careless recalibration
+cannot produce a self-contradictory model.
 """
 
 import dataclasses

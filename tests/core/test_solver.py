@@ -11,9 +11,10 @@ from repro.core.solver import (
     _adaptive_gpu_batch,
 )
 from repro.core.config import RouterConfig
+from repro.apps.ipsec import IPsecGateway
 from repro.apps.ipv4 import IPv4Forwarder
 from repro.apps.ipv6 import IPv6Forwarder
-from repro.gen.workloads import ipv4_workload, ipv6_workload
+from repro.gen.workloads import ipsec_workload, ipv4_workload, ipv6_workload
 from repro.sim.metrics import gbps_to_pps
 
 
@@ -67,6 +68,27 @@ class TestGPUBatchTime:
     def test_validation(self, ipv6_app):
         with pytest.raises(ValueError):
             gpu_batch_time_ns(ipv6_app, 64, 0)
+
+    def test_gather_scatter_amortises_launches(self, ipv6_app):
+        """Section 5.4: gathering chunks per launch raises the GPU-stage
+        rate."""
+        rates = []
+        for gather in (True, False):
+            config = RouterConfig(gather_scatter=gather)
+            n = config.chunk_capacity * config.effective_gather_chunks()
+            rates.append(n / gpu_batch_time_ns(ipv6_app, 64, n))
+        assert rates[0] > rates[1] * 1.2
+
+    def test_streams_help_ipsec_not_lookups(self, ipv6_app):
+        """Section 5.4: concurrent copy and execution pays for the
+        transfer-heavy IPsec kernel and loses for a lightweight lookup."""
+        ipsec = IPsecGateway(ipsec_workload().sa)
+
+        def time_ns(app, frame_len, streams):
+            return gpu_batch_time_ns(app, frame_len, 3072, streams=streams)
+
+        assert time_ns(ipsec, 1514, True) < time_ns(ipsec, 1514, False)
+        assert time_ns(ipv6_app, 64, True) > time_ns(ipv6_app, 64, False)
 
 
 class TestAdaptiveBatch:
@@ -123,6 +145,27 @@ class TestLatency:
         low = app_latency_ns(ipv6_app, 64, gbps_to_pps(0.5, 64), use_gpu=False)
         mid = app_latency_ns(ipv6_app, 64, gbps_to_pps(5, 64), use_gpu=False)
         assert low > mid
+
+    def test_ipv4_latency_below_ipv6(self, ipv4_app, ipv6_app):
+        """Figure 12's text: 140-260 us for IPv4 vs 200-400 us for IPv6."""
+        pps = gbps_to_pps(12, 64)
+        assert app_latency_ns(ipv4_app, 64, pps, use_gpu=True) < app_latency_ns(
+            ipv6_app, 64, pps, use_gpu=True
+        )
+
+    def test_opportunistic_offloading(self, ipv6_app):
+        """Section 7: the lower-latency mode is the CPU at light load and
+        the GPU past CPU saturation."""
+
+        def cheaper(gbps):
+            pps = gbps_to_pps(gbps, 64)
+            cpu = app_latency_ns(ipv6_app, 64, pps, use_gpu=False)
+            gpu = app_latency_ns(ipv6_app, 64, pps, use_gpu=True)
+            return "cpu" if cpu <= gpu else "gpu"
+
+        assert [cheaper(gbps) for gbps in (1, 4, 12, 20, 28)] == [
+            "cpu", "cpu", "gpu", "gpu", "gpu"
+        ]
 
     def test_one_way_cheaper_than_round_trip(self, ipv6_app):
         pps = gbps_to_pps(4, 64)

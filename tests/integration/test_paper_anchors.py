@@ -1,7 +1,8 @@
 """Every headline number of the paper, asserted in one place.
 
-These are the integration-level guarantees the benchmarks rely on: if a
-refactor moves any anchor, this file names the paper section that broke.
+These are the integration-level guarantees the figure scorecard
+(``tests/perf/test_figures.py``) rests on: if a refactor moves any
+anchor, this file names the paper section that broke.
 """
 
 import pytest

@@ -7,7 +7,13 @@ from repro.core.config import RouterConfig
 from repro.core.slowpath import SlowPathHandler
 from repro.gen.workloads import ipv4_workload
 from repro.lookup.dir24_8 import Dir24_8
-from repro.net.packet import build_udp_ipv4, parse_packet
+from repro.net.ethernet import EthernetHeader
+from repro.net.packet import (
+    build_tcp_ipv4,
+    build_udp_ipv4,
+    build_udp_ipv6,
+    parse_packet,
+)
 from repro.testbed import Testbed
 
 
@@ -99,6 +105,42 @@ class TestEndToEnd:
             f for f in sink.get(0, []) if len(f) > 34 and f[14 + 9] == 1
         ]
         assert len(icmp_frames) == 4
+
+    def test_burst_steers_like_the_per_frame_parser(self):
+        """``inject`` hashes a burst as columns; the oracle is the
+        per-frame parser and ``queue_for``, with queue 0 for every frame
+        that has no 5-tuple."""
+        frames = []
+        for i in range(16):
+            frames += [
+                build_udp_ipv4(i + 1, 0x0A000000 | i, 1000 + i, 53),
+                build_tcp_ipv4(i + 7, 0x0A000100 | i, 2000 + i, 80),
+                build_udp_ipv6(i << 64 | 1, 0x2001 << 112 | i, 3000 + i, 53),
+            ]
+        short_header = build_udp_ipv4(1, 2, 3, 4)[:30]
+        bad_offset = build_tcp_ipv4(5, 6, 7, 8)
+        bad_offset[34 + 12] = 0x40  # TCP data offset 4 < 5
+        arp = bytearray(
+            EthernetHeader(dst=2, src=1, ethertype=0x0806).pack() + bytes(28)
+        )
+        frames[5:5] = [short_header, arp, bad_offset]
+
+        testbed = Testbed(IPv4Forwarder(small_fib()))
+        assert testbed.inject(frames) == len(frames)
+        driver = testbed.drivers[0]
+        expected = [[] for _ in driver.buffers]
+        for frame in frames:
+            try:
+                flow = parse_packet(bytes(frame)).five_tuple()
+            except ValueError:
+                flow = None
+            queue = testbed.rss.queue_for(flow) if flow else 0
+            expected[queue].append(bytes(frame))
+        assert all(expected) and len(expected) > 1
+        assert [
+            driver.fetch_batch(queue, len(frames))
+            for queue in range(len(expected))
+        ] == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):

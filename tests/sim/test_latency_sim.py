@@ -40,7 +40,7 @@ class TestCrossValidation:
     they must agree within a factor of ~2 across the load range and
     share every qualitative feature."""
 
-    @pytest.mark.parametrize("gbps", [2, 8, 20, 28])
+    @pytest.mark.parametrize("gbps", [2, 8, 12, 20, 28])
     def test_gpu_mode_within_2x_of_analytic(self, app, gbps):
         measured = simulate(app, gbps).mean_ns
         analytic = app_latency_ns(
