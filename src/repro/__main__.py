@@ -1,6 +1,7 @@
 """Entry point: ``python -m repro [trace|metrics|chaos|lint|bench|flightrec|top|run]``.
 
-With no subcommand, prints the headline report; ``trace`` prints a
+With no subcommand, prints every claim of the paper-reference table
+next to the reproduced value (docs/PERF.md); ``trace`` prints a
 per-stage cost breakdown of a traced forwarding burst; ``metrics``
 dumps the metrics registry (Prometheus text, JSON lines, or a table);
 ``chaos`` runs fault-injection scenarios and checks the conservation
@@ -42,5 +43,5 @@ elif argv and not argv[0].startswith("-"):
     )
     sys.exit(2)
 else:
-    module, function = "repro.report", "main"
+    module, function = "repro.perf.cli", "claims_main"
 sys.exit(getattr(importlib.import_module(module), function)(argv))

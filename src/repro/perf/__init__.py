@@ -7,12 +7,13 @@ The pipeline every figure/table reproduction flows through:
   the extension benches), imported lazily on first enumeration;
 * :mod:`repro.perf.schema` — versioned payload schema + validation;
 * :mod:`repro.perf.reference` — the machine-readable paper-reference
-  table (digitised series and anchors with tolerances);
+  table: every published number once, as a band in the claim's form;
 * :mod:`repro.perf.scoring` — divergence scoring (relative error,
   shape checks, the scalar fidelity in [0, 1]);
 * :mod:`repro.perf.runner` — artifact writers and the manifest;
 * :mod:`repro.perf.gate` — the regression gate vs bench-baseline.json;
-* :mod:`repro.perf.cli` — ``python -m repro bench``.
+* :mod:`repro.perf.cli` — ``python -m repro bench`` and the default
+  ``python -m repro`` claims report.
 
 See ``docs/PERF.md`` for the artifact formats and workflows.
 """

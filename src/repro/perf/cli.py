@@ -1,7 +1,9 @@
-"""``python -m repro bench`` — run the scorecard, check the gate.
+"""``python -m repro bench`` — run the scorecard, check the gate — and
+``python -m repro``, the paper's claims next to the reproduced values.
 
-Exit codes: 0 clean, 1 gate failure (regression / fidelity drift),
-2 usage error (unknown figure, missing baseline, filtered gate run).
+``bench`` exit codes: 0 clean, 1 gate failure (regression / fidelity
+drift), 2 usage error (unknown figure, missing baseline, filtered gate
+run).
 """
 
 from __future__ import annotations
@@ -9,10 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby
 from typing import List, Optional
 
 from repro.perf import gate, runner
-from repro.perf.registry import figure_ids
+from repro.perf.reference import paper_refs
+from repro.perf.registry import figure_ids, get_spec
+from repro.perf.scoring import measured_value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,3 +145,28 @@ def bench_main(argv: Optional[List[str]] = None) -> int:
         print("bench gate: ok")
 
     return 0
+
+
+def claims_main(argv=None) -> int:
+    """Print every paper-sourced ref of :mod:`repro.perf.reference`: the
+    claim as encoded, the value its figure's quick producer measures,
+    and whether that is in the band.  Writes nothing; exits 1 on a miss.
+    """
+    print("PacketShader reproduction — the paper's claims\n" + "=" * 78)
+    print(f"  {'claim':<38} {'paper':>18} {'reproduced':>12}\n" + "-" * 78)
+    verdicts = []
+    for figure, pairs in groupby(paper_refs(), key=lambda pair: pair[0]):
+        spec = get_spec(figure.figure)
+        result = spec.produce(True)
+        print(f"{figure.source} ({figure.figure})")
+        for _, ref in pairs:
+            value = measured_value(ref, result.series, result.headline,
+                                   spec.x_key)
+            verdicts.append(ref.holds(value))
+            shown = "-" if value is None else f"{value:.4g}"
+            print(f"  {ref.id:<38} {ref.claim():>18} {shown:>12} "
+                  f"{'ok' if verdicts[-1] else 'MISS':>4}")
+    print("-" * 78 + f"\n{sum(verdicts)}/{len(verdicts)} claims within their "
+          "bands (src/repro/perf/reference.py)\n"
+          "full sweeps: python -m repro bench --quick")
+    return 0 if all(verdicts) else 1

@@ -1,10 +1,8 @@
 """One-shot experiment reports: ``python -m repro [trace|metrics|chaos]``.
 
-Four subcommands share this module:
+Three subcommands share this module (the default, no-subcommand report
+of the paper's claims is :func:`repro.perf.cli.claims_main`):
 
-* the default (no subcommand) prints the reproduction's headline
-  numbers next to the paper's — a quick smoke check that the calibrated
-  models are intact without running the full benchmark suite;
 * ``trace`` runs a traced forwarding burst through the real framework
   and prints the Table-3-style per-stage cost breakdown plus the
   bottleneck analyzer's verdict;
@@ -20,68 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import app_latency_ns, app_throughput_report
-from repro.apps import REGISTRY, build_app
-from repro.apps.lookup_only import (
-    cpu_ipv6_lookup_rate_pps,
-    gpu_crossover_batch,
-    gpu_ipv6_lookup_rate_pps,
-)
-from repro.calib.constants import SYSTEM
-from repro.io_engine.engine import io_throughput_report
-from repro.sim.metrics import gbps_to_pps
-
-
-def _line(label: str, paper: str, measured: str) -> None:
-    print(f"  {label:<46} {paper:>14} {measured:>14}")
-
-
-def main(argv=None) -> int:
-    """Print the headline comparison table."""
-    apps = {name: build_app(name)[0] for name in REGISTRY}
-
-    print("PacketShader reproduction — headline numbers")
-    print("=" * 78)
-    _line("experiment", "paper", "reproduced")
-    print("-" * 78)
-
-    forwarding = io_throughput_report(64, mode="forward")
-    _line("minimal forwarding @64B (Fig 6)", "41.1 Gbps",
-          f"{forwarding.gbps:.1f} Gbps")
-    _line("RX / TX @64B (Fig 6)", "53.1 / 79.3",
-          f"{io_throughput_report(64, mode='rx').gbps:.1f} / "
-          f"{io_throughput_report(64, mode='tx').gbps:.1f}")
-
-    for name, paper_cpu, paper_gpu in (
-        ("ipv4", "28", "39"),
-        ("ipv6", "8", "38.2"),
-        ("openflow", "~15", "32"),
-        ("ipsec", "2.9", "10.2"),
-    ):
-        cpu = app_throughput_report(apps[name], 64, use_gpu=False).gbps
-        gpu = app_throughput_report(apps[name], 64, use_gpu=True).gbps
-        _line(
-            f"{name} @64B CPU->GPU (Fig 11)",
-            f"{paper_cpu} -> {paper_gpu}",
-            f"{cpu:.1f} -> {gpu:.1f}",
-        )
-
-    peak = gpu_ipv6_lookup_rate_pps(16384) / cpu_ipv6_lookup_rate_pps(1)
-    _line("GPU lookup crossover vs 1 CPU (Fig 2)", "> 320 pkts",
-          f"{gpu_crossover_batch(1)} pkts")
-    _line("GPU lookup peak vs 1 CPU (Fig 2)", "~10x", f"{peak:.1f}x")
-
-    latency = app_latency_ns(apps["ipv6"], 64, gbps_to_pps(12, 64), use_gpu=True)
-    _line("IPv6 RTT @12 Gbps, CPU+GPU (Fig 12)", "200-400 us",
-          f"{latency / 1000:.0f} us")
-
-    _line("system cost (Table 2)", "~$7,000", f"${SYSTEM.total_cost}")
-    _line("power full load CPU->GPU (Sec 7)", "353 -> 594 W",
-          f"{SYSTEM.power_full_cpu_w} -> {SYSTEM.power_full_gpu_w} W")
-    print("-" * 78)
-    print("full sweeps: python -m repro bench --quick")
-    print("per-stage trace: python -m repro trace | metrics")
-    return 0
+from repro.apps import build_app
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +233,3 @@ def chaos_main(argv=None) -> int:
               + ("held in every scenario" if failures == 0
                  else f"VIOLATED in {failures} scenario(s)"))
     return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -140,3 +140,13 @@ class TestCostHooks:
         assert threads == 1.0
         assert spec.mem_accesses == pytest.approx(1.03)
         assert app.gpu_bytes_per_packet(64) == (4.0, 4.0)
+
+
+class TestCapacity:
+    def test_cpu_only_is_io_bound_at_large_frames(self, workload):
+        from repro import app_throughput_report
+
+        report = app_throughput_report(
+            IPv4Forwarder(workload.table), 1514, use_gpu=False
+        )
+        assert report.bottleneck == "io"

@@ -102,3 +102,19 @@ class TestCostHooks:
             ipv4_workload(num_routes=100, seed=1).table
         ).cpu_cycles_per_packet(64)
         assert ipv6_cost > 3 * ipv4_cost
+
+
+class TestCapacity:
+    def test_gpu_gain_larger_than_ipv4s(self, workload):
+        # Section 6.3: "especially noticeable with IPv6".
+        from repro import app_throughput_report
+        from repro.apps.ipv4 import IPv4Forwarder
+        from repro.gen.workloads import ipv4_workload
+
+        def gain(app):
+            gpu = app_throughput_report(app, 64, use_gpu=True).gbps
+            cpu = app_throughput_report(app, 64, use_gpu=False).gbps
+            return gpu / cpu
+
+        ipv4 = IPv4Forwarder(ipv4_workload(num_routes=100, seed=1).table)
+        assert gain(IPv6Forwarder(workload.table)) > 3 * gain(ipv4)

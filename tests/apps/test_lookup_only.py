@@ -4,7 +4,6 @@ import pytest
 
 from repro.apps.lookup_only import (
     cpu_ipv6_lookup_rate_pps,
-    gpu_crossover_batch,
     gpu_ipv6_lookup_rate_pps,
 )
 
@@ -31,23 +30,6 @@ class TestGPUCurve:
         # Figure 2: "given a small number of packets in a batch GPU
         # shows considerably lower performance".
         assert gpu_ipv6_lookup_rate_pps(64) < cpu_ipv6_lookup_rate_pps(1) / 3
-
-    def test_crossover_near_320(self):
-        # Figure 2: "given more than 320 packets ... outperforms one
-        # Intel quad-core Xeon X5550".
-        crossover = gpu_crossover_batch(num_cpus=1)
-        assert 250 <= crossover <= 450
-
-    def test_crossover_two_cpus_near_640(self):
-        # "and two CPUs with more than 640 packets."
-        crossover = gpu_crossover_batch(num_cpus=2)
-        assert 600 <= crossover <= 1100
-
-    def test_peak_about_ten_x5550s(self):
-        # "At the peak performance one GTX480 GPU is comparable to about
-        # ten X5550 processors."
-        ratio = gpu_ipv6_lookup_rate_pps(16384) / cpu_ipv6_lookup_rate_pps(1)
-        assert 7.5 <= ratio <= 11.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

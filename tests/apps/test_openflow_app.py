@@ -83,3 +83,17 @@ class TestCostHooks:
             large.kernel_cost(64)[0].compute_cycles
             > small.kernel_cost(64)[0].compute_cycles
         )
+
+
+class TestCapacity:
+    def test_gpu_wins_for_all_table_sizes(self):
+        # Figure 11(c): "CPU+GPU mode outperforms CPU-only mode for all
+        # configurations", down to an exact-match-only table.
+        from repro import app_throughput_report
+
+        for num_wildcard in (0, 32, 128, 512):
+            app = OpenFlowApp(openflow_workload(
+                num_exact=1024, num_wildcard=num_wildcard, seed=83).switch)
+            gpu = app_throughput_report(app, 64, use_gpu=True).gbps
+            cpu = app_throughput_report(app, 64, use_gpu=False).gbps
+            assert gpu > cpu

@@ -23,6 +23,7 @@ from repro.calib.constants import (
     PCIE,
     SYSTEM,
 )
+from repro.perf.reference import REFERENCE
 
 
 class TestCPUModel:
@@ -138,8 +139,9 @@ class TestFramework:
 
 class TestSystem:
     def test_table2_inventory(self):
-        assert SYSTEM.total_ports == 8
-        assert SYSTEM.total_cost == pytest.approx(7000, rel=0.05)
+        table2 = REFERENCE["table2"]
+        assert table2.ref("total_ports").holds(SYSTEM.total_ports)
+        assert table2.ref("total_cost_usd").holds(SYSTEM.total_cost)
 
     def test_power_ordering(self):
         assert SYSTEM.power_full_gpu_w > SYSTEM.power_full_cpu_w

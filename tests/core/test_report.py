@@ -1,14 +1,14 @@
-"""The headline report CLI."""
+"""The headline report CLI: a view of the paper-reference table."""
 
-from repro.report import main
+from repro.perf.cli import claims_main
+from repro.perf.reference import paper_refs
 
 
 def test_report_runs_and_prints_headlines(capsys):
-    assert main([]) == 0
+    assert claims_main([]) == 0
     output = capsys.readouterr().out
-    assert "41.1 Gbps" in output
-    assert "Fig 11" in output
-    assert "$6979" in output
-    # Every application appears.
-    for name in ("ipv4", "ipv6", "openflow", "ipsec"):
-        assert name in output
+    claims = list(paper_refs())
+    for figure, ref in claims:
+        assert f"{figure.source} ({figure.figure})" in output
+        assert f"  {ref.id} " in output and ref.claim() in output
+    assert f"{len(claims)}/{len(claims)} claims within their bands" in output

@@ -15,6 +15,7 @@ from repro.apps.ipsec import IPsecGateway
 from repro.apps.ipv4 import IPv4Forwarder
 from repro.apps.ipv6 import IPv6Forwarder
 from repro.gen.workloads import ipsec_workload, ipv4_workload, ipv6_workload
+from repro.perf.reference import REFERENCE
 from repro.sim.metrics import gbps_to_pps
 
 
@@ -40,7 +41,8 @@ class TestThroughput:
         cpu = app_throughput_report(ipv4_app, 1514, use_gpu=False)
         assert gpu.bottleneck == "io"
         assert cpu.bottleneck == "io"
-        assert cpu.gbps == pytest.approx(40.0, rel=0.01)
+        # Both sit on the I/O engine's forwarding ceiling (Figure 6).
+        assert REFERENCE["fig6"].ref("forward_gbps", 1514).holds(cpu.gbps)
 
     def test_no_batching_collapses_throughput(self, ipv4_app):
         batched = app_throughput_report(ipv4_app, 64, use_gpu=False)
@@ -52,7 +54,8 @@ class TestThroughput:
         blind = app_throughput_report(
             ipv4_app, 64, use_gpu=True, config=RouterConfig(numa_aware=False)
         )
-        assert blind.gbps < 25.5
+        assert blind.gbps < aware.gbps
+        assert REFERENCE["numa"].ref("io_gbps", "blind").holds(blind.gbps)
 
 
 class TestGPUBatchTime:
@@ -114,10 +117,13 @@ class TestAdaptiveBatch:
 
 class TestLatency:
     def test_gpu_latency_in_paper_range(self, ipv6_app):
-        """Figure 12: 200-400 us round trip for IPv6 over 1-28 Gbps."""
-        for gbps in (2, 8, 16, 24, 28):
-            latency = app_latency_ns(ipv6_app, 64, gbps_to_pps(gbps, 64), use_gpu=True)
-            assert 150_000 < latency < 450_000
+        """Figure 12's round trip for IPv6 over 0.5-28 Gbps, held to the
+        fig12 refs."""
+        for ref in REFERENCE["fig12"].refs:
+            if ref.key == "gpu_us":
+                latency = app_latency_ns(
+                    ipv6_app, 64, gbps_to_pps(ref.x, 64), use_gpu=True)
+                assert ref.holds(latency / 1000), ref.x
 
     def test_gpu_latency_above_cpu_batch(self, ipv6_app):
         # Figure 12: GPU acceleration costs latency vs the CPU modes.

@@ -3,6 +3,10 @@
 import pytest
 
 from repro.hw.numa import IOHub, SystemTopology
+from repro.perf.reference import REFERENCE
+
+FIG6 = REFERENCE["fig6"]
+NUMA = REFERENCE["numa"]
 
 
 class TestIOHub:
@@ -16,51 +20,43 @@ class TestIOHub:
 
 
 class TestFigure6Anchors:
-    """The paper's measured I/O engine ceilings (Section 4.6)."""
+    """The paper's measured I/O engine ceilings (Section 4.6), held to
+    the fig6 and numa refs of ``repro.perf.reference``."""
 
     def setup_method(self):
         self.topo = SystemTopology()
 
     def test_rx_64b(self):
-        # Paper: 53.1 Gbps RX for 64B frames.
-        assert self.topo.rx_capacity_gbps(64) == pytest.approx(53.1, rel=0.02)
+        assert FIG6.ref("rx_gbps", 64).holds(self.topo.rx_capacity_gbps(64))
 
     def test_rx_1514b(self):
-        # Paper: 59.9 Gbps RX for large frames.
-        assert self.topo.rx_capacity_gbps(1514) == pytest.approx(59.9, rel=0.02)
+        assert FIG6.ref("rx_gbps", 1514).holds(self.topo.rx_capacity_gbps(1514))
 
     def test_tx_64b(self):
-        # Paper: 79.3 Gbps TX for 64B frames.
-        assert self.topo.tx_capacity_gbps(64) == pytest.approx(79.3, rel=0.02)
+        assert FIG6.ref("tx_gbps", 64).holds(self.topo.tx_capacity_gbps(64))
 
     def test_tx_large_hits_line_rate(self):
-        # Paper: 80.0 Gbps for 128B or larger (line rate of 8 ports).
-        assert self.topo.tx_capacity_gbps(1514) == pytest.approx(80.0, rel=0.01)
+        assert FIG6.ref("tx_gbps", 1514).holds(self.topo.tx_capacity_gbps(1514))
 
     def test_forwarding_64b(self):
-        # Paper: 41.1 Gbps minimal forwarding at 64B.
-        assert self.topo.forwarding_capacity_gbps(64) == pytest.approx(41.1, rel=0.02)
+        assert FIG6.ref("forward_gbps", 64).holds(
+            self.topo.forwarding_capacity_gbps(64))
 
     def test_forwarding_above_40_for_all_sizes(self):
-        # Paper: "stays above 40 Gbps for all packet sizes".
         for size in (64, 128, 256, 512, 1024, 1514):
-            assert self.topo.forwarding_capacity_gbps(size) >= 40.0
+            assert FIG6.ref("forward_gbps", size).holds(
+                self.topo.forwarding_capacity_gbps(size))
 
     def test_node_crossing_still_above_40(self):
-        # Paper: the worst case (all packets cross nodes) stays above 40
-        # at 64 B, and within a whisker of it for every size.
-        assert self.topo.forwarding_capacity_gbps(64, node_crossing=True) >= 40.0
-        for size in (128, 256, 512, 1024, 1514):
-            assert self.topo.forwarding_capacity_gbps(
-                size, node_crossing=True
-            ) >= 39.8
+        for size in (64, 128, 256, 512, 1024, 1514):
+            assert FIG6.ref("node_crossing_gbps", size).holds(
+                self.topo.forwarding_capacity_gbps(size, node_crossing=True))
 
     def test_numa_blind_below_25(self):
-        # Section 4.5: NUMA-blind I/O limits forwarding below 25 Gbps.
         blind = self.topo.forwarding_capacity_gbps(64, numa_aware=False)
-        assert blind < 25.5
+        assert NUMA.ref("io_gbps", "blind").holds(blind)
         aware = self.topo.forwarding_capacity_gbps(64)
-        assert aware / blind == pytest.approx(1.6, rel=0.05)  # "about 60%"
+        assert NUMA.ref("aware_over_blind").holds(aware / blind)
 
 
 class TestGPUDisplacement:
@@ -103,4 +99,4 @@ class TestTopologyShape:
     def test_forwarding_pps(self):
         topo = SystemTopology()
         pps = topo.forwarding_capacity_pps(64)
-        assert pps == pytest.approx(41.1e9 / 704, rel=0.02)
+        assert FIG6.ref("forward_mpps_64").holds(pps / 1e6)

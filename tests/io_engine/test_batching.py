@@ -9,24 +9,27 @@ from repro.io_engine.batching import (
     rx_cycles_per_packet,
     tx_cycles_per_packet,
 )
+from repro.perf.reference import REFERENCE
 from repro.sim.metrics import pps_to_gbps
+
+FIG5 = REFERENCE["fig5"]
 
 
 class TestFigure5Anchors:
+    """The published points are fig5's refs in ``repro.perf.reference``."""
+
     def test_batch_1_is_0_78_gbps(self):
-        # Paper: packet-by-packet handles only 0.78 Gbps (64B, 1 core).
+        # Packet by packet on one core, 64B frames.
         gbps = pps_to_gbps(forwarding_pps_single_core(1), 64)
-        assert gbps == pytest.approx(0.78, rel=0.02)
+        assert FIG5.ref("gbps", 1).holds(gbps)
 
     def test_batch_64_is_10_5_gbps(self):
-        # Paper: 10.5 Gbps with the batch size of 64.
         gbps = pps_to_gbps(forwarding_pps_single_core(64), 64)
-        assert gbps == pytest.approx(10.5, rel=0.02)
+        assert FIG5.ref("gbps", 64).holds(gbps)
 
     def test_speedup_is_13_5(self):
-        # Paper: "resulting in the speedup of 13.5".
         speedup = forwarding_pps_single_core(64) / forwarding_pps_single_core(1)
-        assert speedup == pytest.approx(13.5, rel=0.03)
+        assert FIG5.ref("speedup_64").holds(speedup)
 
     def test_throughput_monotone_in_batch(self):
         rates = [forwarding_pps_single_core(b) for b in (1, 2, 4, 8, 16, 32, 64, 128)]

@@ -8,6 +8,7 @@ from repro.io_engine.engine import (
     PacketIOEngine,
     io_throughput_report,
 )
+from repro.perf.reference import REFERENCE
 
 
 def engine_with(num_nics=1, num_queues=2, ring_size=32):
@@ -79,17 +80,19 @@ class TestVirtualInterfaces:
 class TestCapacityModel:
     def test_figure6_forward_64(self):
         report = io_throughput_report(64, mode="forward")
-        assert report.gbps == pytest.approx(41.1, rel=0.02)
         assert report.bottleneck == "io"
 
     def test_figure6_rx_tx(self):
-        assert io_throughput_report(64, mode="rx").gbps == pytest.approx(53.1, rel=0.02)
-        assert io_throughput_report(64, mode="tx").gbps == pytest.approx(79.3, rel=0.02)
+        fig6 = REFERENCE["fig6"]
+        for mode in ("rx", "tx"):
+            gbps = io_throughput_report(64, mode=mode).gbps
+            assert fig6.ref(f"{mode}_gbps", 64).holds(gbps), (mode, gbps)
 
     def test_cpu_bound_with_few_cores_and_tiny_batch(self):
+        # One core, packet by packet: Figure 5's first point.
         report = io_throughput_report(64, mode="forward", batch_size=1, cores=1)
         assert report.bottleneck == "cpu"
-        assert report.gbps == pytest.approx(0.78, rel=0.02)
+        assert REFERENCE["fig5"].ref("gbps", 1).holds(report.gbps)
 
     def test_four_cores_still_io_bound(self):
         # Section 4.6: the same forwarding performance with only 4 cores.

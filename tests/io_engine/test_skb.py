@@ -4,6 +4,7 @@ import pytest
 
 from repro.calib.constants import LINUX_STACK
 from repro.io_engine.skb import SKB_METADATA_BYTES, LinuxSkb, SkbAllocator
+from repro.perf.reference import REFERENCE
 
 
 class TestLinuxSkb:
@@ -68,19 +69,16 @@ class TestSkbAllocator:
             allocator.charge_cache_miss()
             allocator.free(skb)
         shares = allocator.breakdown.shares()
-        assert shares["skb initialization"] == pytest.approx(0.049, abs=0.002)
-        assert shares["skb (de)allocation"] == pytest.approx(0.080, abs=0.002)
-        assert shares["memory subsystem"] == pytest.approx(0.502, abs=0.002)
-        assert shares["NIC device driver"] == pytest.approx(0.133, abs=0.002)
-        assert shares["others"] == pytest.approx(0.098, abs=0.002)
-        assert shares["compulsory cache misses"] == pytest.approx(0.138, abs=0.002)
-        # The paper's headline: skb-related operations are 63.1%.
+        table3 = REFERENCE["table3"]
+        for name, share in shares.items():
+            assert table3.ref("share", name).holds(share), name
+        # The paper's headline: the skb-related operations' share.
         skb_total = (
             shares["skb initialization"]
             + shares["skb (de)allocation"]
             + shares["memory subsystem"]
         )
-        assert skb_total == pytest.approx(0.631, abs=0.005)
+        assert table3.ref("skb_related_share").holds(skb_total)
 
     def test_empty_breakdown_shares(self):
         assert SkbAllocator().breakdown.shares() == {}

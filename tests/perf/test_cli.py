@@ -56,6 +56,19 @@ class TestUsage:
         assert cli.bench_main(["--figure", "fig99"]) == 2
         assert "fig99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, argvs", [
+        ("--wallclock", (["--wallclock"], ["--wallclock", "--no-write"])),
+        ("--workers", (["--workers", "2"],)),
+    ], ids=["wallclock", "workers"])
+    def test_wall_clock_flags_are_usage_errors(self, capsys, flag, argvs):
+        """Wall-clock speed is measured by ``bench/`` alone: the
+        scorecard CLI refuses its former flags and does not offer them."""
+        for argv, code in [*((argv, 2) for argv in argvs), (["--help"], 0)]:
+            with pytest.raises(SystemExit) as exc:
+                cli.bench_main(argv)
+            assert exc.value.code == code, argv
+        assert flag not in capsys.readouterr().out
+
     def test_filtered_check_exits_2(self, capsys):
         assert cli.bench_main(["--figure", "fig5", "--check"]) == 2
         assert "full suite" in capsys.readouterr().err

@@ -59,9 +59,13 @@ class TestRunFigure:
             set_registry(previous)
 
     def test_rounding_keeps_values_close(self):
-        payload = runner.run_figure(get_spec("fig5"), quick=True)
-        gbps = {row["batch"]: row["gbps"] for row in payload["series"]}
-        assert gbps[64] == pytest.approx(10.5, rel=0.02)
+        spec = get_spec("fig5")
+        raw = spec.produce(True)
+        payload = runner.run_figure(spec, quick=True)
+        for exact, rounded in zip(raw.series, payload["series"]):
+            assert rounded["gbps"] == pytest.approx(exact["gbps"], abs=1e-6)
+        for key, value in raw.headline.items():
+            assert payload["headline"][key] == pytest.approx(value, abs=1e-6)
 
 
 class TestArtifacts:

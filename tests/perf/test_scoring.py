@@ -1,19 +1,21 @@
-"""Divergence scoring on synthetic series: perfect, scaled, shape-broken."""
+"""Divergence scoring on synthetic series: perfect, scaled, shape-broken,
+and the band forms of a claim."""
 
 import pytest
 
-from repro.perf.reference import AnchorRef, FigureRef, SeriesRef, get_reference
+from repro.perf.reference import FigureRef, Ref, get_reference
 from repro.perf.registry import BenchResult
 from repro.perf.scoring import MISSING_POINT_ERROR, SHAPE_PENALTY, score_result
 
 REF = FigureRef(
     figure="synthetic",
     source="test",
-    series=(
-        SeriesRef(key="y", points=((1, 10.0), (2, 20.0)), rel_tol=0.05,
-                  monotonic="increasing"),
+    monotonic=(("y", "increasing"),),
+    refs=(
+        Ref("y", x=1, expected=10.0, rel_tol=0.05),
+        Ref("y", x=2, expected=20.0, rel_tol=0.05),
+        Ref("peak", expected=20.0, rel_tol=0.05),
     ),
-    anchors=(AnchorRef(key="peak", expected=20.0, rel_tol=0.05),),
 )
 
 
@@ -109,8 +111,8 @@ class TestAbsFloor:
     def test_floor_bounds_small_denominators(self):
         ref = FigureRef(
             figure="shares", source="test",
-            series=(SeriesRef(key="s", points=(("a", 0.04),), rel_tol=0.5,
-                              abs_floor=0.05),),
+            refs=(Ref("s", x="a", expected=0.04, rel_tol=0.5,
+                      abs_floor=0.05),),
         )
         result = BenchResult(
             series=[{"x": "a", "s": 0.06}], headline={"z": 1.0},
@@ -119,6 +121,41 @@ class TestAbsFloor:
         score = score_result("shares", result, "x", reference=ref)
         # |0.06 - 0.04| / max(0.04, 0.05) = 0.4, not 0.5.
         assert score.series["s"].max_rel_error == pytest.approx(0.4)
+
+
+class TestBands:
+    def _score(self, ref, value):
+        figure = FigureRef(figure="banded", source="test", refs=(ref,))
+        result = BenchResult(series=[{"x": 1, "y": 0.0}],
+                             headline={ref.key: value}, bottleneck="x")
+        return score_result("banded", result, "x", reference=figure)
+
+    def test_range_and_bound_score_distance_outside_the_band(self):
+        ref = Ref("lat", band=(100.0, 300.0))
+        inside = self._score(ref, 150.0)
+        assert inside.within_tol and inside.fidelity == 1.0
+        for value in (90.0, 330.0):
+            outside = self._score(ref, value)
+            assert not outside.within_tol
+            assert outside.anchors["lat"].rel_error == pytest.approx(0.1)
+        bound = Ref("crossover", band=(50.0, None))
+        assert self._score(bound, 1e9).within_tol
+        assert not self._score(bound, 49.0).within_tol
+
+    def test_point_claims_keep_their_distance(self):
+        banded = self._score(Ref("peak", expected=20.0, band=(15.0, 22.0)), 17.0)
+        assert banded.within_tol
+        assert banded.anchors["peak"].rel_error == pytest.approx(0.15)
+        assert banded.to_dict()["anchors"]["peak"]["band"] == [15.0, 22.0]
+        point = self._score(Ref("g", expected=50.0, rel_tol=0.02), 50.9)
+        assert point.within_tol and "band" not in point.to_dict()["anchors"]["g"]
+        assert Ref("s", expected=1.0, abs_tol=0.25).bounds == (0.75, 1.25)
+        exact = Ref("ports", expected=3.0, rel_tol=0.0)
+        assert exact.holds(3.0) and not exact.holds(3.0 + 1e-9)
+
+    def test_a_ref_needs_a_value_or_a_band(self):
+        with pytest.raises(ValueError):
+            Ref("nothing")
 
 
 class TestReferenceTable:
